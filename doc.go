@@ -125,7 +125,8 @@
 // server side funnels wire requests through the same handlers as HTTP, so
 // the two transports are answer-identical by construction (and
 // differential-tested, transport against transport against oracle).
-// Shards advertise their wire address on /readyz; the router dials it
-// automatically and falls back to HTTP per request on any transport
-// failure, so a mixed-version cluster keeps answering.
+// Shards advertise their wire address on /readyz ("ftbfs serve -shard"
+// opens one even without -wire); the router learns it from its probes and
+// reaches shards for queries and mutations only over the wire, failing an
+// attempt that hits a transport fault over to the next replica.
 package ftbfs

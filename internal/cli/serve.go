@@ -57,7 +57,7 @@ func cmdServe(args []string, stdout io.Writer) error {
 	algName := fs.String("alg", "auto", "algorithm for pre-built structures")
 	vertexSpec := fs.String("vertex-sources", "", "comma-separated sources to pre-build VERTEX-failure structures for -in (empty = none)")
 	shard := fs.Bool("shard", false, "run as a cluster shard (identity in /healthz, /stats; route to it with `ftbfs route`)")
-	wireAddr := fs.String("wire", "", "binary-protocol listen address, e.g. \":8090\" (empty = HTTP only); advertised via /readyz so routers discover it")
+	wireAddr := fs.String("wire", "", "binary-protocol listen address, e.g. \":8090\", advertised via /readyz so routers discover it (empty = HTTP only, or with -shard an ephemeral port on the -addr host)")
 	id := fs.String("id", "", "node identity reported by /healthz and /stats (default: the bound address)")
 	drainGrace := fs.Duration("drain-grace", 0, "on shutdown, keep serving with /readyz=503 this long so balancers stop routing here first")
 	maxInflight := fs.Int("max-inflight", server.DefaultMaxInflight, "concurrent query/build requests served before queueing")
@@ -132,6 +132,14 @@ func cmdServe(args []string, stdout io.Writer) error {
 	}
 	srv := server.New(st)
 	srv.SetWorkLimits(*maxInflight, *maxQueued)
+	if *wireAddr == "" && *shard {
+		// Routers reach shards only over the binary protocol.
+		host, _, err := net.SplitHostPort(*addr)
+		if err != nil {
+			return err
+		}
+		*wireAddr = net.JoinHostPort(host, "0")
+	}
 	if *wireAddr != "" {
 		ln, err := net.Listen("tcp", *wireAddr)
 		if err != nil {

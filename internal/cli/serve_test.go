@@ -212,6 +212,61 @@ func TestServeWireFlag(t *testing.T) {
 	}
 }
 
+// TestServeShardOpensWire checks that serve -shard without -wire still
+// opens a binary-protocol listener, on the -addr host, and advertises it on
+// /readyz: routers reach shards for queries only over the wire.
+func TestServeShardOpensWire(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	oldCtx, oldReady := serveSignalContext, serveReady
+	defer func() { serveSignalContext, serveReady = oldCtx, oldReady }()
+	serveSignalContext = func() (context.Context, context.CancelFunc) { return ctx, func() {} }
+	addrc := make(chan string, 1)
+	serveReady = func(addr string) { addrc <- addr }
+
+	var out bytes.Buffer
+	done := make(chan int, 1)
+	go func() {
+		done <- Main([]string{"serve", "-addr", "127.0.0.1:0", "-shard", "-id", "s0"}, &out, os.Stderr)
+	}()
+	var addr string
+	select {
+	case addr = <-addrc:
+	case <-time.After(15 * time.Second):
+		t.Fatal("serve did not come up")
+	}
+
+	resp, err := http.Get("http://" + addr + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ready struct {
+		Wire string `json:"wire"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&ready)
+	resp.Body.Close()
+	if err != nil || !strings.HasPrefix(ready.Wire, "127.0.0.1:") {
+		t.Fatalf("/readyz advertised wire address %q (%v), want one on 127.0.0.1", ready.Wire, err)
+	}
+	// Dialable and speaking the protocol: an unknown graph is an in-protocol
+	// 404, not a transport error.
+	wc := wire.NewClient(ready.Wire, 1)
+	defer wc.Close()
+	_, werr, err := wc.Point(context.Background(), wire.TDist, &wire.PointQuery{FP: 1, V: 0, A: -1, B: -1})
+	if err != nil || werr == nil || werr.Code != http.StatusNotFound {
+		t.Fatalf("wire point on the advertised address: %v / %v, want an in-protocol 404", werr, err)
+	}
+
+	cancel()
+	select {
+	case code := <-done:
+		if code != 0 {
+			t.Fatalf("serve exited %d; output:\n%s", code, out.String())
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("serve did not shut down")
+	}
+}
+
 // TestServePprofFlag checks that -pprof opens the profiling handlers on
 // their own debug listener and that the serving listener never grows them.
 func TestServePprofFlag(t *testing.T) {

@@ -812,12 +812,13 @@ func TestRouterVertexConcurrentChurn(t *testing.T) {
 	}
 }
 
-// TestRouterWireFastPathCountersAndFallback pins down how queries actually
-// travel: with every shard speaking the binary protocol the router's
-// wire_points/wire_batches counters move (the fast path is really taken, not
-// silently HTTP), and when the wire listeners die while HTTP stays up the
-// router falls back per request — counted, and still answer-correct.
-func TestRouterWireFastPathCountersAndFallback(t *testing.T) {
+// TestRouterWireFailoverAndReconnect pins down how queries travel: over the
+// binary protocol only, so the router's wire request counters move. When one
+// replica's wire listener dies, its attempts hit transport faults (counted
+// in wire_fallbacks) and fail over to the other replica with every answer
+// still correct; once the listener is back on a fresh port, a probe sweep
+// re-learns it and the shard serves wire traffic again.
+func TestRouterWireFailoverAndReconnect(t *testing.T) {
 	lc, err := StartLocal(4, LocalOptions{Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -825,13 +826,17 @@ func TestRouterWireFastPathCountersAndFallback(t *testing.T) {
 	defer lc.Close()
 	fixtures := buildFixtures(t, lc.URL(), []int64{41}, []int{0, 5}, 0.3)
 
-	stats := func() RouterStatsResponse {
-		var rs RouterStatsResponse
-		if code, body := getJSON(t, lc.URL()+"/stats", &rs); code != http.StatusOK {
-			t.Fatalf("/stats: %d %s", code, body)
-		}
-		return rs
+	// Counters come from the router's own /metrics, which — unlike /stats —
+	// sends nothing to the shards: no stray shard request may clear a
+	// replica's strikes between phases.
+	metric := func(series string) float64 {
+		return promValue(t, getBody(t, lc.URL()+"/metrics"), series)
 	}
+	const (
+		points  = `ftbfs_router_wire_requests_total{kind="point"}`
+		batches = `ftbfs_router_wire_requests_total{kind="batch"}`
+		faults  = "ftbfs_router_wire_fallbacks_total"
+	)
 	sample := func(label string) {
 		for _, fx := range fixtures {
 			for i := 0; i < len(fx.edges); i += 4 {
@@ -859,59 +864,56 @@ func TestRouterWireFastPathCountersAndFallback(t *testing.T) {
 		}
 	}
 
-	// All shards speak wire: the fast path carries both points and batches.
-	before := stats()
+	p0, b0, f0 := metric(points), metric(batches), metric(faults)
 	sample("all-wire")
-	after := stats()
-	if after.WirePoints <= before.WirePoints {
-		t.Fatalf("wire_points did not move: %d -> %d (points answered over HTTP?)", before.WirePoints, after.WirePoints)
+	if p1 := metric(points); p1 <= p0 {
+		t.Fatalf("wire point requests did not move: %v -> %v", p0, p1)
 	}
-	if after.WireBatches <= before.WireBatches {
-		t.Fatalf("wire_batches did not move: %d -> %d", before.WireBatches, after.WireBatches)
+	if b1 := metric(batches); b1 <= b0 {
+		t.Fatalf("wire batch requests did not move: %v -> %v", b0, b1)
 	}
-	if after.WireFallbacks != before.WireFallbacks {
-		t.Fatalf("healthy cluster fell back to HTTP %d times", after.WireFallbacks-before.WireFallbacks)
+	if f1 := metric(faults); f1 != f0 {
+		t.Fatalf("healthy cluster hit %v wire transport faults", f1-f0)
 	}
 
-	// Kill only the binary listeners; the members still hold the stale wire
-	// addresses, so each request tries the fast path, fails, and falls back
-	// to HTTP — correctness must not depend on the wire at all.
+	// Kill the wire listener of the primary for fixture 0's key. The member
+	// keeps the stale address, so the attempts sent to it fail and the
+	// other replica answers.
+	eps := fixtures[0].eps
+	k, err := (&server.QueryRequest{Graph: fixtures[0].fp, Source: fixtures[0].source, Eps: &eps}).EdgeKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary := lc.Router.ownersFor(k)[0].ID
+	var down *LocalShard
 	for _, sh := range lc.Shards {
-		sh.stopWire()
-	}
-	before = stats()
-	sample("wire-down")
-	after = stats()
-	if after.WireFallbacks <= before.WireFallbacks {
-		t.Fatalf("wire_fallbacks did not move with dead wire listeners: %d -> %d",
-			before.WireFallbacks, after.WireFallbacks)
-	}
-
-	// A probe sweep un-learns the dead wire addresses from /readyz, after
-	// which the router routes HTTP-first without burning a dial per request.
-	ms := lc.Router.Membership()
-	ms.ProbeAll(context.Background(), &http.Client{Timeout: 2 * time.Second})
-	before = stats()
-	sample("wire-unlearned")
-	after = stats()
-	if after.WireFallbacks != before.WireFallbacks {
-		t.Fatalf("router still dialing un-advertised wire: fallbacks %d -> %d",
-			before.WireFallbacks, after.WireFallbacks)
-	}
-
-	// Restarted listeners are re-discovered by the next sweep and the fast
-	// path resumes.
-	for _, sh := range lc.Shards {
-		if err := sh.startWire(); err != nil {
-			t.Fatal(err)
+		if sh.ID == primary {
+			down = sh
 		}
 	}
-	ms.ProbeAll(context.Background(), &http.Client{Timeout: 2 * time.Second})
-	before = stats()
+	down.stopWire()
+	f0, fo0 := metric(faults), metric("ftbfs_router_failovers_total")
+	sample("primary-wire-down")
+	if f1 := metric(faults); f1 <= f0 {
+		t.Fatalf("wire_fallbacks did not move with %s's wire listener dead: %v -> %v", primary, f0, f1)
+	}
+	if fo1 := metric("ftbfs_router_failovers_total"); fo1 <= fo0 {
+		t.Fatalf("failovers did not move with %s's wire listener dead: %v -> %v", primary, fo0, fo1)
+	}
+
+	// The listener comes back on a fresh port; the next probe sweep learns
+	// it from /readyz and the shard answers wire traffic again.
+	if err := down.startWire(); err != nil {
+		t.Fatal(err)
+	}
+	lc.Router.Membership().ProbeAll(context.Background(), &http.Client{Timeout: 2 * time.Second})
+	served := `ftbfs_router_replica_seconds_count{replica="` + primary + `",transport="wire"}`
+	s0, p0 := metric(served), metric(points)
 	sample("wire-back")
-	after = stats()
-	if after.WirePoints <= before.WirePoints {
-		t.Fatalf("fast path did not resume after restart: wire_points %d -> %d",
-			before.WirePoints, after.WirePoints)
+	if p1 := metric(points); p1 <= p0 {
+		t.Fatalf("wire point requests did not move after the restart: %v -> %v", p0, p1)
+	}
+	if s1 := metric(served); s1 <= s0 {
+		t.Fatalf("%s answered no wire attempts after its listener came back (%v -> %v)", primary, s0, s1)
 	}
 }

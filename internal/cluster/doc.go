@@ -7,6 +7,21 @@
 // /batch-query vectors, and single-flight build fan-out so one logical
 // /build lands on every replica exactly once.
 //
+// # One internal transport
+//
+// Clients speak HTTP/JSON to the router; the router speaks the binary
+// protocol (internal/wire) to shards for every point read, batch sub-batch
+// and mutation, at the wire address each shard advertises on /readyz.
+// There is no second path: a wire transport fault — a dead listener, a
+// shard mid-restart, a member whose wire address is not yet known — fails
+// that attempt over to the next replica, the same move hedging makes for a
+// slow one, and counts in wire_fallbacks. The router decodes the client's
+// request once, validates it as a shard would (server.QueryRequest.Validate),
+// frames it, and writes the client's JSON once from the typed answer. HTTP
+// between the tiers remains only where it carries something the wire does
+// not: /build, /stats and /metrics/fleet scrapes, /readyz probes, and
+// shard-to-shard handoff.
+//
 // Routing hashes exactly what the store keys: (graph fingerprint, source,
 // ε, algorithm, failure model) — vertex-failure queries land on the same
 // ring as edge queries, just under their own keys, so hedged point reads
@@ -62,9 +77,8 @@
 // POST /mutate applies an edge-mutation batch to a lineage fleet-wide. The
 // router cannot enumerate which shards hold state for a lineage (per-source
 // structure keys hash to different owners), so the batch fans to every
-// member — TMutate frames on the wire fast path, HTTP /mutate as the
-// per-request fallback — and shards without the graph answer 404, which is
-// tolerated as long as at least one shard applied. Each applying shard
+// member as TMutate frames, and shards without the graph answer 404, which
+// is tolerated as long as at least one shard applied. Each applying shard
 // derives the new generation deterministically from the same base graph and
 // batch, so all replies must agree on (generation, fingerprint); a diverging
 // shard fails the fan-out with 502 rather than letting replicas silently
@@ -139,8 +153,8 @@
 // per-route outcome-labeled latency histogram for its HTTP surface,
 // per-replica forward latency split by transport
 // (ftbfs_router_replica_seconds), and counters for every routing decision —
-// hedges, failovers, breaker skips and forced attempts, wire fallbacks,
-// rebalance transfers, hot promotions. /stats keeps its JSON shape but now
+// hedges, failovers, breaker skips and forced attempts, wire transport
+// faults, rebalance transfers, hot promotions. /stats keeps its JSON shape but now
 // reads the same registry values, so the two surfaces cannot drift.
 // Exposition is /metrics (Prometheus text) and /metrics.json (the raw
 // snapshot).
@@ -160,11 +174,11 @@
 // Request tracing rides the same paths the queries do: the router samples
 // every Nth point query (RouterOptions.TraceSample) or honors a
 // caller-supplied X-Ftbfs-Trace header, stamps its own spans, and forwards
-// the trace ID — as a header over HTTP, as the frame's trace field over the
-// wire. Shards answer with their spans in the X-Ftbfs-Spans header, which
-// the router folds into its record under a "shard-id:" prefix; wire-traced
-// requests land in the shard's own ring instead, since response frames
-// carry no span field. Both routers and shards retain a bounded ring of
+// the trace ID in the wire frame's trace field. Shards answer a traced
+// frame with their spans in the response's span trailer (the wire twin of
+// the X-Ftbfs-Spans header), which the router folds into its record under a
+// "shard-id:" prefix — so a traced request takes exactly the path an
+// untraced one does. Both routers and shards retain a bounded ring of
 // recent traces at /debug/traces.
 //
 // # Chaos testing

@@ -129,13 +129,10 @@ func StartLocal(n int, opts LocalOptions) (*LocalCluster, error) {
 			lc.Close()
 			return nil, err
 		}
-		ms.Join(sh.ID, sh.ts.URL)
 		// Seed the wire address directly — probes would learn it from
-		// /readyz too, but tests without a prober must route the fast path
-		// from the first request.
-		if m, ok := ms.Member(sh.ID); ok {
-			m.SetWireAddr(normalizeWireAddr(sh.Server.WireAddr(), sh.ts.URL))
-		}
+		// /readyz too, but tests without a prober must reach the shard from
+		// the first request.
+		ms.JoinWire(sh.ID, sh.ts.URL, sh.Server.WireAddr())
 		lc.Shards = append(lc.Shards, sh)
 	}
 	lc.Router = NewRouter(ms, opts.Router)
@@ -244,14 +241,10 @@ func (lc *LocalCluster) RestartShard(i int) {
 	}
 	sh.startHTTP()
 	_ = sh.startWire()
-	ms := lc.Router.Membership()
-	ms.Join(sh.ID, sh.ts.URL)
 	// A restarted shard's wire listener is on a fresh port; update the
-	// member so the fast path re-dials there instead of timing out on the
-	// old one (probes would eventually learn it from /readyz anyway).
-	if m, ok := ms.Member(sh.ID); ok {
-		m.SetWireAddr(normalizeWireAddr(sh.Server.WireAddr(), sh.ts.URL))
-	}
+	// member so queries re-dial there instead of failing on the old one
+	// (probes would eventually learn it from /readyz anyway).
+	lc.Router.Membership().JoinWire(sh.ID, sh.ts.URL, sh.Server.WireAddr())
 }
 
 // Close tears down the router and every shard.

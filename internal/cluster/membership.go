@@ -39,9 +39,10 @@ type Member struct {
 	probes        atomic.Uint64
 
 	// wireAddr is the shard's binary-protocol address, learned from its
-	// /readyz responses (or set directly by an in-process cluster); empty
-	// means the shard speaks HTTP only and the router routes around the
-	// fast path. wireC is the lazily-dialed pooled client for that address.
+	// /readyz responses (or set directly by an in-process cluster); queries
+	// and mutations reach the shard only through it, so while it is empty
+	// every attempt on the shard fails over. wireC is the lazily-dialed
+	// pooled client for that address.
 	wireAddr atomic.Pointer[string]
 	wireMu   sync.Mutex
 	wireC    *wire.Client
@@ -68,12 +69,15 @@ func (m *Member) WireAddr() string {
 
 // SetWireAddr records the shard's binary-protocol address ("" to clear it —
 // a restarted shard may come back without a wire listener). Changing the
-// address closes the old pooled client; the next request dials fresh.
+// address closes the old pooled client, so the next request dials fresh,
+// and clears the request-path strikes, which were earned against the old
+// listener; the breaker keeps its own probe-driven recovery.
 func (m *Member) SetWireAddr(addr string) {
 	if m.WireAddr() == addr {
 		return
 	}
 	m.wireAddr.Store(&addr)
+	mark(&m.reqDown, &m.reqFailures, true, downAfter)
 	m.wireMu.Lock()
 	if m.wireC != nil && m.wireC.Addr() != addr {
 		m.wireC.Close()
@@ -82,13 +86,14 @@ func (m *Member) SetWireAddr(addr string) {
 	m.wireMu.Unlock()
 }
 
-// wireClient returns the pooled binary-protocol client for the member, nil
-// when no wire address is known. The client survives shard restarts on the
-// same address (dead connections re-dial lazily).
-func (m *Member) wireClient() *wire.Client {
+// wireClient returns the pooled binary-protocol client for the member. A
+// member with no known wire address is a transport fault for the attempt
+// that asked. The client survives shard restarts on the same address (dead
+// connections re-dial lazily).
+func (m *Member) wireClient() (*wire.Client, error) {
 	addr := m.WireAddr()
 	if addr == "" {
-		return nil
+		return nil, fmt.Errorf("cluster: shard %s advertises no wire address", m.ID)
 	}
 	m.wireMu.Lock()
 	defer m.wireMu.Unlock()
@@ -98,7 +103,7 @@ func (m *Member) wireClient() *wire.Client {
 		}
 		m.wireC = wire.NewClient(addr, 0)
 	}
-	return m.wireC
+	return m.wireC, nil
 }
 
 // normalizeWireAddr resolves an advertised wire address against the member's
@@ -244,6 +249,17 @@ func (ms *Membership) Join(id, addr string) {
 	ms.rebuildLocked()
 }
 
+// JoinWire is Join plus the shard's advertised wire address, resolved
+// against its HTTP URL, for callers that already know it: the shard then
+// answers routed queries from the first request instead of after the next
+// probe. An empty wireAddr leaves any known address to the probes.
+func (ms *Membership) JoinWire(id, addr, wireAddr string) {
+	ms.Join(id, addr)
+	if m, ok := ms.Member(id); ok && wireAddr != "" {
+		m.SetWireAddr(normalizeWireAddr(wireAddr, addr))
+	}
+}
+
 // Leave removes a shard from the membership, remapping only the key ranges
 // it owned (consistent hashing's minimal-disruption property).
 func (ms *Membership) Leave(id string) {
@@ -369,9 +385,9 @@ func (ms *Membership) ProbeAll(ctx context.Context, client *http.Client) int {
 			m.markProbe(resp.StatusCode == http.StatusOK, downAfter)
 			// Probes double as wire-address discovery: /readyz advertises the
 			// shard's binary-protocol listener (even while draining), so the
-			// router learns — or un-learns — the fast path with no extra
-			// configuration. Decode failures (an intermediary's error page)
-			// leave the known address untouched.
+			// router learns — or un-learns — where to send queries with no
+			// extra configuration. Decode failures (an intermediary's error
+			// page) leave the known address untouched.
 			var rr server.ReadyResponse
 			if json.Unmarshal(body, &rr) == nil {
 				m.SetWireAddr(normalizeWireAddr(rr.Wire, m.Addr()))

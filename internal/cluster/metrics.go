@@ -9,7 +9,7 @@ import (
 )
 
 // routerMetrics is the registry behind the router's /metrics: routing
-// counters (hedges, failovers, breaker activity, wire fast-path usage),
+// counters (hedges, failovers, breaker activity, wire requests and faults),
 // per-route request histograms, and per-replica latency histograms. Every
 // counter pointer is resolved once at NewRouter; /stats reconstructs its
 // legacy JSON shape from these same series, keeping the registry the single
@@ -37,7 +37,7 @@ type routerMetrics struct {
 	wirePoints         *telemetry.Counter // point attempts answered over the binary protocol
 	wireBatches        *telemetry.Counter // sub-batches answered over the binary protocol
 	wireMutations      *telemetry.Counter // shard mutations answered over the binary protocol
-	wireFallbacks      *telemetry.Counter // wire transport faults that fell back to HTTP
+	wireFallbacks      *telemetry.Counter // wire transport faults failed over to another replica
 	breakerSkips       *telemetry.Counter // attempts not sent because a replica's breaker was open
 	breakerForced      *telemetry.Counter // attempts forced through despite every breaker being open
 	errs               *telemetry.Counter // requests answered with an error status
@@ -89,7 +89,7 @@ func newRouterMetrics(m *Membership, routes []string) *routerMetrics {
 			"Fleet structure rebuilds on mutation, by rebuild kind."),
 		mutationsFull: reg.Counter("ftbfs_router_mutation_rebuilds_total", `kind="full"`,
 			"Fleet structure rebuilds on mutation, by rebuild kind."),
-		wireFallbacks: c("ftbfs_router_wire_fallbacks_total", "Wire transport faults that fell back to HTTP."),
+		wireFallbacks: c("ftbfs_router_wire_fallbacks_total", "Wire transport faults failed over to another replica."),
 		breakerSkips:  c("ftbfs_router_breaker_skips_total", "Attempts skipped because a replica's breaker was open."),
 		breakerForced: c("ftbfs_router_breaker_forced_total", "Attempts forced through despite every breaker being open."),
 		errs:          c("ftbfs_router_errors_total", "Requests answered with an error status."),

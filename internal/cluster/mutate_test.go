@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -114,10 +115,10 @@ func mutateVia(client *http.Client, url, lineage string, muts []server.MutationJ
 // TestRouterMutateDifferentialSwapAtomicity is the live-graph acceptance
 // gate (run under -race in CI): a 4-shard / R=2 cluster absorbs a sustained
 // mutation stream — delta-eligible deletes interleaved with rebuild-forcing
-// inserts — while point and batch queries run concurrently over both
-// transports (the wire fast path for the first half, HTTP fallback after the
-// wire listeners die mid-stream). Every answer must match some generation
-// that was serving during the query; zero wrong answers tolerated.
+// inserts — while point and batch queries run concurrently, and every
+// shard's wire listener restarts mid-stream. Every answer must match some
+// generation that was serving during the query; zero wrong answers
+// tolerated.
 func TestRouterMutateDifferentialSwapAtomicity(t *testing.T) {
 	lc, err := StartLocal(4, LocalOptions{Replicas: 2})
 	if err != nil {
@@ -275,10 +276,20 @@ func TestRouterMutateDifferentialSwapAtomicity(t *testing.T) {
 			genDone.Store(int64(i))
 
 			if i == batches/2 {
-				// Second half of the stream — mutations and queries alike —
-				// runs on the HTTP fallback path.
+				// Mid-stream, every shard's wire listener restarts on a fresh
+				// port under live query traffic — a rolling restart: attempts
+				// on the restarting shard fail over to its replica, a probe
+				// sweep re-learns the new address, and the next shard goes
+				// only after the longest retry backoff, so no request meets
+				// both of its R=2 replicas mid-restart.
 				for _, sh := range lc.Shards {
 					sh.stopWire()
+					if err := sh.startWire(); err != nil {
+						abort(fmt.Errorf("restart %s wire listener: %w", sh.ID, err))
+						return
+					}
+					lc.Router.Membership().ProbeAll(context.Background(), &http.Client{Timeout: 2 * time.Second})
+					time.Sleep(DefaultMaxRetryBackoff)
 				}
 			}
 			time.Sleep(5 * time.Millisecond)
@@ -406,7 +417,7 @@ func TestRouterMutateDifferentialSwapAtomicity(t *testing.T) {
 	}
 
 	// The convergence ledger recorded the stream: fan-outs, per-shard swaps,
-	// both rebuild kinds, and both transports.
+	// both rebuild kinds, and the wire transport.
 	var rs RouterStatsResponse
 	if code, body := getJSON(t, lc.URL()+"/stats", &rs); code != http.StatusOK {
 		t.Fatalf("/stats: %d %s", code, body)
@@ -425,9 +436,6 @@ func TestRouterMutateDifferentialSwapAtomicity(t *testing.T) {
 	}
 	if rs.WireMutations == 0 {
 		t.Error("no mutation rode the wire fast path in the first half")
-	}
-	if rs.WireFallbacks == 0 {
-		t.Error("no HTTP fallback after the wire listeners died")
 	}
 }
 

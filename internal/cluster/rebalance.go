@@ -44,7 +44,7 @@ func (rt *Router) gatherInventory(ctx context.Context) map[store.Key][]*Member {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res := rt.forward(ctx, m, http.MethodGet, "/handoff/keys", "", nil)
+			res := rt.forward(ctx, m, http.MethodGet, "/handoff/keys", nil)
 			if res.err != nil || res.code != http.StatusOK {
 				return
 			}
@@ -71,7 +71,7 @@ func (rt *Router) gatherInventory(ctx context.Context) map[store.Key][]*Member {
 
 // memberKeys inventories a single member.
 func (rt *Router) memberKeys(ctx context.Context, m *Member) ([]store.Key, error) {
-	res := rt.forward(ctx, m, http.MethodGet, "/handoff/keys", "", nil)
+	res := rt.forward(ctx, m, http.MethodGet, "/handoff/keys", nil)
 	if res.err != nil {
 		return nil, res.err
 	}
@@ -170,15 +170,13 @@ func (rt *Router) runPulls(ctx context.Context, targetAddr string, tasks []pullT
 // for the prospective member, drive pull-based transfer of every structure
 // the new shard will own onto it, and only then flip routing by joining it
 // to the membership. A known ID is a rejoin — address refresh, nothing
-// moves. wireAddr may be empty (the shard then serves handoff and queries
-// over HTTP until probes learn a wire address).
+// moves. wireAddr may be empty: the shard then takes no routed queries —
+// every attempt on it fails over to another replica — until probes learn
+// its wire address.
 func (rt *Router) AddShard(ctx context.Context, id, addr, wireAddr string) (*RebalanceReport, error) {
 	ms := rt.m
 	if _, ok := ms.Member(id); ok {
-		ms.Join(id, addr)
-		if m, ok := ms.Member(id); ok && wireAddr != "" {
-			m.SetWireAddr(normalizeWireAddr(wireAddr, addr))
-		}
+		ms.JoinWire(id, addr, wireAddr)
 		return &RebalanceReport{Rejoin: true}, nil
 	}
 	rt.rm.rebalances.Inc()
@@ -230,10 +228,7 @@ func (rt *Router) AddShard(ctx context.Context, id, addr, wireAddr string) (*Reb
 	// Flip routing only now: the joiner answers its first routed query from
 	// a handed-off structure. Load-through stays the fallback for anything
 	// the transfer missed — never the plan.
-	ms.Join(id, addr)
-	if m, ok := ms.Member(id); ok && wireAddr != "" {
-		m.SetWireAddr(normalizeWireAddr(wireAddr, addr))
-	}
+	ms.JoinWire(id, addr, wireAddr)
 	return report, nil
 }
 

@@ -49,25 +49,21 @@ type RouterOptions struct {
 	// DefaultHedgeDelay when 0, negative disables hedging (failover on
 	// error still happens).
 	HedgeDelay time.Duration
-	// Client used for query and stats shard requests; a default with sane
-	// timeouts when nil. /build fan-outs use a dedicated timeout-free
-	// client bounded by BuildTimeout instead — a big build must not be
-	// killed by the query timeout.
+	// Client used for the HTTP shard requests — stats, fleet metrics and
+	// handoff inventories; a default with sane timeouts when nil. Queries
+	// and mutations travel over the shards' binary protocol instead, and
+	// /build fan-outs use a dedicated timeout-free client bounded by
+	// BuildTimeout — a big build must not be killed by the query timeout.
 	Client *http.Client
 	// BuildTimeout bounds one /build fan-out (DefaultBuildTimeout when 0).
 	BuildTimeout time.Duration
 	// ID reported by /healthz and /stats.
 	ID string
-	// DisableWire turns off the binary-protocol fast path: every shard
-	// request goes over HTTP/JSON even when a shard advertises a wire
-	// address. The zero value leaves the fast path enabled — a shard that
-	// does not advertise one is routed over HTTP either way.
-	DisableWire bool
 	// DefaultBudget is the deadline budget applied to query requests that
 	// arrive without an X-Ftbfs-Budget-Ms header; 0 leaves them bounded only
-	// by the HTTP client timeout. The remaining budget re-propagates to every
-	// shard attempt (HTTP header, wire frame field), so no attempt outlives
-	// the request that asked for it.
+	// by the wire client's request timeout. The remaining budget
+	// re-propagates to every shard attempt (the wire frame's budget field),
+	// so no attempt outlives the request that asked for it.
 	DefaultBudget time.Duration
 	// RetryBackoff is the base delay between failover retries: attempt n
 	// waits roughly base·2^(n−1) with ±50% jitter, capped at MaxRetryBackoff
@@ -85,9 +81,10 @@ type RouterOptions struct {
 	// half-open probe (DefaultBreakerCooldown when 0).
 	BreakerCooldown time.Duration
 	// TraceSample traces every Nth point query end to end: the router opens
-	// a trace, the shard attempt carries it (HTTP header), the shard's spans
-	// fold back into the router's record, and the finished trace lands in
-	// the ring behind /debug/traces. 0 disables sampling; requests arriving
+	// a trace, the shard attempt carries it (the wire frame's trace field),
+	// the shard's spans fold back into the router's record from the
+	// response's span trailer, and the finished trace lands in the ring
+	// behind /debug/traces. 0 disables sampling; requests arriving
 	// with an X-Ftbfs-Trace header are traced regardless.
 	TraceSample int
 }
@@ -231,7 +228,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// Tracing: a caller-supplied X-Ftbfs-Trace header always traces; else
 	// TraceSample traces every Nth point query. The trace rides the request
 	// context so every shard attempt propagates the ID, and the shard's
-	// spans fold back in via the response span header (forwardClient).
+	// spans fold back in from each attempt's response (attemptTrace).
 	var tr *telemetry.Trace
 	if id, ok := telemetry.ParseTraceID(r.Header.Get(telemetry.TraceHeader)); ok {
 		tr = telemetry.NewTrace(id)
@@ -316,11 +313,14 @@ func retryableStatus(code int) bool {
 // retryableSlotError is retryableStatus for per-slot /batch-query errors,
 // which travel as strings inside a 200 response: it matches the slot errors
 // that reflect shard state rather than a verdict on the query — an unknown
-// graph (cold replica, server.UnknownGraphPrefix) and a persist-directory
+// graph (cold replica, server.UnknownGraphPrefix), a persist-directory
 // fault (broken disk, store.PersistPrefix; the point path retries the same
-// condition via its 500 status).
+// condition via its 500 status), and the shard's request context ending
+// (a shard shutting down its listener mid-batch; the point path retries
+// the same condition via its 504 status).
 func retryableSlotError(msg string) bool {
-	return strings.HasPrefix(msg, server.UnknownGraphPrefix) || strings.HasPrefix(msg, store.PersistPrefix)
+	return strings.HasPrefix(msg, server.UnknownGraphPrefix) || strings.HasPrefix(msg, store.PersistPrefix) ||
+		msg == context.Canceled.Error() || msg == context.DeadlineExceeded.Error()
 }
 
 func (rt *Router) writeJSON(w http.ResponseWriter, code int, v any) {
@@ -346,88 +346,104 @@ func (rt *Router) writeRaw(w http.ResponseWriter, code int, body []byte) {
 	_, _ = w.Write(body)
 }
 
-// attemptResult is one shard request's outcome: a transport error, or a
-// buffered status + body.
+// attemptResult is one point attempt's outcome: a distance, a definitive
+// shard refusal (werr, whose Code is an HTTP status), or a transport fault
+// (err).
 type attemptResult struct {
-	code int
-	body []byte
+	dist int32
+	werr *wire.Error
 	err  error
 }
 
-// wireQuery is a point request in binary-protocol form, carried alongside
-// the HTTP request through hedgedDo so each attempt can try the shard's wire
-// connection first and fall back to HTTP on a transport fault.
+// wireQuery is a point request in binary-protocol form: the frame type plus
+// the fully-resolved query every attempt sends.
 type wireQuery struct {
 	typ byte
 	q   wire.PointQuery
 }
 
-// wireFor returns the member's binary-protocol client, nil when the fast
-// path is disabled or the shard has not advertised a wire address.
-func (rt *Router) wireFor(m *Member) *wire.Client {
-	if rt.opts.DisableWire {
-		return nil
+// attemptTrace gives one shard attempt of a traced request its own trace
+// under the request's ID; the returned func folds the spans the shard sent
+// back into the request's trace under the member-ID prefix. Untraced
+// requests get ctx back unchanged and a no-op.
+func attemptTrace(ctx context.Context, m *Member) (context.Context, func()) {
+	tr := telemetry.TraceFrom(ctx)
+	if tr == nil {
+		return ctx, func() {}
 	}
-	return m.wireClient()
+	at := telemetry.NewTrace(tr.ID())
+	return telemetry.WithTrace(ctx, at), func() { foldSpans(tr, m.ID, at.Spans()) }
 }
 
-// forwardPoint sends one point attempt to a member: over the binary protocol
-// when the shard speaks it, over HTTP otherwise. A wire answer — success or
-// an in-protocol error — is synthesised into the HTTP-shaped attemptResult
-// the hedging/failover logic already understands, so the two transports are
-// indistinguishable downstream; only a wire transport fault (dead listener,
-// mid-restart shard) falls back to the HTTP request.
-func (rt *Router) forwardPoint(ctx context.Context, m *Member, method, path, rawQuery string, body []byte, wq *wireQuery) attemptResult {
-	// Traced attempts go over HTTP even when the shard speaks wire: response
-	// frames carry no span field, so only the HTTP span header can bring the
-	// shard's spans back into the router's trace record.
-	if wq != nil && telemetry.TraceFrom(ctx) == nil {
-		if wc := rt.wireFor(m); wc != nil {
-			attemptStart := time.Now()
-			d, werr, err := wc.Point(ctx, wq.typ, &wq.q)
-			switch {
-			case err == nil && werr == nil:
-				rt.rm.wirePoints.Inc()
-				rt.rm.observeReplica(m.ID, "wire", time.Since(attemptStart))
-				m.markRequest(true, downAfter)
-				return attemptResult{code: http.StatusOK, body: []byte(fmt.Sprintf(`{"dist":%d}`, d))}
-			case err == nil:
-				rt.rm.wirePoints.Inc()
-				rt.rm.observeReplica(m.ID, "wire", time.Since(attemptStart))
-				m.markRequest(werr.Code < http.StatusInternalServerError, downAfter)
-				eb, _ := json.Marshal(map[string]string{"error": werr.Msg})
-				return attemptResult{code: werr.Code, body: eb}
-			case ctx.Err() != nil:
-				// Hedging loser cancelled mid-flight: not a strike, no fallback.
-				return attemptResult{err: err}
-			}
-			// Wire transport fault: the HTTP fallback below observes (and
-			// scores) its own outcome against the same shard.
-			rt.rm.wireFallbacks.Inc()
-		}
+// foldSpans adds a shard's spans to the router's trace, prefixed with the
+// member ID. Shard offsets are relative to the shard's own trace start, so
+// they read as per-layer timelines, not one global clock.
+func foldSpans(tr *telemetry.Trace, id string, spans []telemetry.Span) {
+	for _, sp := range spans {
+		sp.Name = id + ":" + sp.Name
+		tr.AddSpan(sp)
 	}
-	return rt.forward(ctx, m, method, path, rawQuery, body)
 }
 
-// forward sends one buffered request to a member with the query client and
-// reads the reply. Health is only updated on real outcomes — a hedging
-// loser cancelled via ctx must not count against the shard.
-func (rt *Router) forward(ctx context.Context, m *Member, method, path, rawQuery string, body []byte) attemptResult {
-	return rt.forwardClient(rt.opts.Client, ctx, m, method, path, rawQuery, body)
+// scoreWire records one wire attempt's outcome. An answer — an in-protocol
+// refusal included — counts under its kind, and clears the member's strikes
+// unless it is a 5xx. A transport fault is a strike and counts in
+// wire_fallbacks; point and batch callers fail the attempt over to another
+// replica. An attempt its caller cancelled (a hedging loser) says nothing
+// about the shard and is not scored.
+func (rt *Router) scoreWire(ctx context.Context, m *Member, answered *telemetry.Counter, werr *wire.Error, err error) {
+	switch {
+	case err == nil:
+		answered.Inc()
+		m.markRequest(werr == nil || werr.Code < http.StatusInternalServerError, downAfter)
+	case ctx.Err() == nil:
+		rt.rm.wireFallbacks.Inc()
+		m.markRequest(false, downAfter)
+	}
 }
 
-func (rt *Router) forwardClient(client *http.Client, ctx context.Context, m *Member, method, path, rawQuery string, body []byte) attemptResult {
-	url := m.Addr() + path
-	if rawQuery != "" {
-		url += "?" + rawQuery
+// forwardPoint sends one point attempt to a member over the binary protocol.
+// A member with no known wire address fails the attempt like any other
+// transport fault, and hedgedDo moves on to the next replica.
+func (rt *Router) forwardPoint(ctx context.Context, m *Member, wq *wireQuery) attemptResult {
+	wc, err := m.wireClient()
+	if err != nil {
+		rt.scoreWire(ctx, m, nil, nil, err)
+		return attemptResult{err: err}
 	}
+	ctx, fold := attemptTrace(ctx, m)
+	start := time.Now()
+	d, werr, err := wc.Point(ctx, wq.typ, &wq.q)
+	fold()
+	if err == nil {
+		rt.rm.observeReplica(m.ID, "wire", time.Since(start))
+	}
+	rt.scoreWire(ctx, m, rt.rm.wirePoints, werr, err)
+	return attemptResult{dist: d, werr: werr, err: err}
+}
+
+// httpResult is one HTTP shard request's outcome: a transport error, or a
+// buffered status + body.
+type httpResult struct {
+	code int
+	body []byte
+	err  error
+}
+
+// forward sends one buffered HTTP request to a member with the router's
+// client and reads the reply.
+func (rt *Router) forward(ctx context.Context, m *Member, method, path string, body []byte) httpResult {
+	return rt.forwardClient(rt.opts.Client, ctx, m, method, path, body)
+}
+
+func (rt *Router) forwardClient(client *http.Client, ctx context.Context, m *Member, method, path string, body []byte) httpResult {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, url, rd)
+	req, err := http.NewRequestWithContext(ctx, method, m.Addr()+path, rd)
 	if err != nil {
-		return attemptResult{err: err}
+		return httpResult{err: err}
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -438,7 +454,7 @@ func (rt *Router) forwardClient(client *http.Client, ctx context.Context, m *Mem
 	if dl, ok := ctx.Deadline(); ok {
 		rem := time.Until(dl)
 		if rem <= 0 {
-			return attemptResult{err: context.DeadlineExceeded}
+			return httpResult{err: context.DeadlineExceeded}
 		}
 		req.Header.Set(server.BudgetHeader, strconv.FormatInt(int64((rem+time.Millisecond-1)/time.Millisecond), 10))
 	}
@@ -452,7 +468,7 @@ func (rt *Router) forwardClient(client *http.Client, ctx context.Context, m *Mem
 		if ctx.Err() == nil {
 			m.markRequest(false, downAfter)
 		}
-		return attemptResult{err: err}
+		return httpResult{err: err}
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
@@ -460,21 +476,13 @@ func (rt *Router) forwardClient(client *http.Client, ctx context.Context, m *Mem
 		if ctx.Err() == nil {
 			m.markRequest(false, downAfter)
 		}
-		return attemptResult{err: err}
+		return httpResult{err: err}
 	}
 	rt.rm.observeReplica(m.ID, "http", time.Since(attemptStart))
 	if tr != nil {
-		// Fold the shard's spans into the router's trace, prefixed with the
-		// member ID. Shard offsets are relative to the shard's own trace
-		// start, so they read as per-layer timelines, not one global clock.
-		if spans := resp.Header.Get(telemetry.SpanHeader); spans != "" {
-			var shardSpans []telemetry.Span
-			if json.Unmarshal([]byte(spans), &shardSpans) == nil {
-				for _, sp := range shardSpans {
-					sp.Name = m.ID + ":" + sp.Name
-					tr.AddSpan(sp)
-				}
-			}
+		var shardSpans []telemetry.Span
+		if json.Unmarshal([]byte(resp.Header.Get(telemetry.SpanHeader)), &shardSpans) == nil {
+			foldSpans(tr, m.ID, shardSpans)
 		}
 	}
 	// A 5xx is a request strike: a shard consistently failing requests
@@ -484,7 +492,7 @@ func (rt *Router) forwardClient(client *http.Client, ctx context.Context, m *Mem
 	// a draining shard serving its in-flight traffic is still drained out
 	// by its 503 /readyz probes.
 	m.markRequest(resp.StatusCode < http.StatusInternalServerError, downAfter)
-	return attemptResult{code: resp.StatusCode, body: b}
+	return httpResult{code: resp.StatusCode, body: b}
 }
 
 // orderedOwners returns the key's replica set, healthy members first but
@@ -529,9 +537,9 @@ func (rt *Router) noteKey(k store.Key) {
 	rt.hotMu.Unlock()
 }
 
-// hedgedDo tries the owners in order until one returns 200: the primary
-// first, the next replica when the hedge timer fires before the primary
-// answers, and failover on transport errors and retryable statuses (404
+// hedgedDo tries the owners in order until one answers: the primary first,
+// the next replica when the hedge timer fires before the primary answers,
+// and failover on transport faults and retryable statuses (404
 // unknown-graph shard state, 5xx) after a jittered exponential backoff
 // bounded by the remaining budget. Owners whose circuit breaker is open are
 // skipped — unless every owner's is, in which case one attempt is forced
@@ -539,14 +547,14 @@ func (rt *Router) noteKey(k store.Key) {
 // breaker). A deterministic client error (any other 4xx) is relayed
 // immediately — every replica would repeat it; a retryable status is
 // remembered and relayed only when every replica says no.
-func (rt *Router) hedgedDo(ctx context.Context, owners []*Member, method, path, rawQuery string, body []byte, wq *wireQuery) attemptResult {
+func (rt *Router) hedgedDo(ctx context.Context, owners []*Member, wq *wireQuery) attemptResult {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	results := make(chan attemptResult, len(owners))
 	next, pending := 0, 0
 	fire := func(m *Member) {
 		pending++
-		go func() { results <- rt.forwardPoint(ctx, m, method, path, rawQuery, body, wq) }()
+		go func() { results <- rt.forwardPoint(ctx, m, wq) }()
 	}
 	launch := func() bool {
 		for next < len(owners) {
@@ -578,15 +586,12 @@ func (rt *Router) hedgedDo(ctx context.Context, owners []*Member, method, path, 
 		select {
 		case res := <-results:
 			pending--
-			if res.err == nil && res.code == http.StatusOK {
-				return res
-			}
-			if res.err == nil && !retryableStatus(res.code) {
-				return res // deterministic client error: relay as-is
+			if res.err == nil && (res.werr == nil || !retryableStatus(res.werr.Code)) {
+				return res // an answer, or a deterministic client error
 			}
 			// Prefer a definitive shard reply over a transport error as the
 			// answer of last resort.
-			if res.err == nil || last.code == 0 {
+			if res.err == nil || last.werr == nil {
 				last = res
 			}
 			if next >= len(owners) {
@@ -619,30 +624,17 @@ func (rt *Router) hedgedDo(ctx context.Context, owners []*Member, method, path, 
 	return last
 }
 
-// handlePoint proxies /dist and /dist-avoiding: resolve the structure key
-// from the request, hedge across its replica set, relay the winner.
+// handlePoint routes /dist, /dist-avoiding and /dist-avoiding-vertex:
+// validate the request and resolve its structure key exactly as a shard
+// would, frame it once, hedge it across the key's replica set over the
+// binary protocol, and write the client's JSON from the typed answer.
 func (rt *Router) handlePoint(w http.ResponseWriter, r *http.Request) {
-	var body []byte
-	var q server.QueryRequest
-	switch r.Method {
-	case http.MethodGet:
-		var err error
-		if q, err = server.ParseQuery(r); err != nil {
-			rt.writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-	case http.MethodPost:
-		var err error
-		if body, err = io.ReadAll(r.Body); err != nil {
-			rt.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
-			return
-		}
-		if err := json.Unmarshal(body, &q); err != nil {
-			rt.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
-			return
-		}
-	default:
-		rt.writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET or POST required"))
+	q, err := server.ParseQuery(r)
+	if err == nil {
+		err = q.Validate(r.URL.Path)
+	}
+	if err != nil {
+		rt.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	k, err := q.KeyForEndpoint(r.URL.Path)
@@ -657,37 +649,26 @@ func (rt *Router) handlePoint(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.rm.points.Inc()
 	rt.noteKey(k)
-	// Frame the request for the binary fast path when it is complete enough
-	// to frame; a request missing its target or failure still goes out over
-	// HTTP so the shard can answer the same 400 a single node would.
-	var wq *wireQuery
-	if q.V != nil {
-		pq := wire.PointQuery{
-			FP:      k.Graph,
-			EpsBits: math.Float64bits(k.Eps),
-			Source:  int32(k.Source),
-			Alg:     int32(k.Alg),
-			V:       int32(*q.V),
-			A:       -1,
-			B:       -1,
-		}
-		switch r.URL.Path {
-		case "/dist":
-			wq = &wireQuery{typ: wire.TDist, q: pq}
-		case "/dist-avoiding":
-			if q.Fail != nil {
-				pq.A, pq.B = int32(q.Fail[0]), int32(q.Fail[1])
-				wq = &wireQuery{typ: wire.TDistAvoiding, q: pq}
-			}
-		case "/dist-avoiding-vertex":
-			if q.FailedVertex != nil {
-				pq.A = int32(*q.FailedVertex)
-				wq = &wireQuery{typ: wire.TDistAvoidingVertex, q: pq}
-			}
-		}
+	wq := wireQuery{typ: wire.TDist, q: wire.PointQuery{
+		FP:      k.Graph,
+		EpsBits: math.Float64bits(k.Eps),
+		Source:  int32(k.Source),
+		Alg:     int32(k.Alg),
+		V:       int32(*q.V),
+		A:       -1,
+		B:       -1,
+	}}
+	switch r.URL.Path {
+	case "/dist-avoiding":
+		wq.typ = wire.TDistAvoiding
+		wq.q.A, wq.q.B = int32(q.Fail[0]), int32(q.Fail[1])
+	case "/dist-avoiding-vertex":
+		wq.typ = wire.TDistAvoidingVertex
+		wq.q.A = int32(*q.FailedVertex)
 	}
-	res := rt.hedgedDo(r.Context(), owners, r.Method, r.URL.Path, r.URL.RawQuery, body, wq)
-	if res.err != nil {
+	res := rt.hedgedDo(r.Context(), owners, &wq)
+	switch {
+	case res.err != nil:
 		code := http.StatusBadGateway
 		if errors.Is(res.err, context.DeadlineExceeded) || r.Context().Err() != nil {
 			// The budget ran out, not the replicas: answer 504 like a shard
@@ -695,9 +676,16 @@ func (rt *Router) handlePoint(w http.ResponseWriter, r *http.Request) {
 			code = http.StatusGatewayTimeout
 		}
 		rt.writeErr(w, code, fmt.Errorf("cluster: all %d replicas failed: %w", len(owners), res.err))
-		return
+	case res.werr != nil:
+		rt.writeErr(w, res.werr.Code, errors.New(res.werr.Msg))
+	default:
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		// The bytes a shard's JSON encoder writes for {"dist": d}.
+		buf := append(make([]byte, 0, 24), `{"dist":`...)
+		buf = strconv.AppendInt(buf, int64(res.dist), 10)
+		_, _ = w.Write(append(buf, "}\n"...))
 	}
-	rt.writeRaw(w, res.code, res.body)
 }
 
 // handleBatchQuery scatter-gathers a multi-structure batch: route every
@@ -853,121 +841,56 @@ func (rt *Router) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				sub := server.BatchQueryRequest{Queries: make([]server.BatchQuery, len(sb.slots))}
+				slots := make([]wire.BatchSlot, len(sb.slots))
 				for j, i := range sb.slots {
 					k := routes[i].key
-					src := k.Source
-					sub.Queries[j] = server.BatchQuery{
-						Graph:  fmt.Sprintf("%016x", k.Graph),
-						Source: &src,
-						V:      req.Queries[i].V,
+					slots[j].PointQuery = wire.PointQuery{
+						FP:      k.Graph,
+						EpsBits: math.Float64bits(k.Eps),
+						Source:  int32(k.Source),
+						Alg:     int32(k.Alg),
+						V:       int32(req.Queries[i].V),
+						A:       -1,
+						B:       -1,
 					}
 					if k.Model == store.ModelVertex {
-						// A vertex slot re-addresses by (graph, source) only —
-						// the shard's KeyFor derives the same vertex-model key
-						// the router routed on.
-						sub.Queries[j].FailedVertex = req.Queries[i].FailedVertex
+						// KeyFor only derives a vertex-model key from a slot
+						// carrying failedVertex, so the deref is safe.
+						slots[j].Vertex = true
+						slots[j].A = int32(*req.Queries[i].FailedVertex)
 					} else {
-						eps := k.Eps
-						sub.Queries[j].Eps = &eps
-						sub.Queries[j].Alg = k.Alg.String()
-						sub.Queries[j].Fail = req.Queries[i].Fail
+						slots[j].A = int32(req.Queries[i].Fail[0])
+						slots[j].B = int32(req.Queries[i].Fail[1])
 					}
 				}
-				// The binary fast path ships the sub-batch as fixed-layout
-				// slots and lands the reply directly in resp — no JSON in
-				// either direction. An in-protocol rejection becomes the
-				// HTTP-shaped attemptResult the failover classification
-				// below already understands; only a wire transport fault
-				// (dead listener, mid-restart shard) re-sends over HTTP.
-				var res attemptResult
-				var resp server.BatchQueryResponse
-				answered, decoded := false, false
-				if wc := rt.wireFor(sb.member); wc != nil {
-					slots := make([]wire.BatchSlot, len(sb.slots))
-					for j, i := range sb.slots {
-						k := routes[i].key
-						slots[j].PointQuery = wire.PointQuery{
-							FP:      k.Graph,
-							EpsBits: math.Float64bits(k.Eps),
-							Source:  int32(k.Source),
-							Alg:     int32(k.Alg),
-							V:       int32(req.Queries[i].V),
-							A:       -1,
-							B:       -1,
-						}
-						if k.Model == store.ModelVertex {
-							// KeyFor only derives a vertex-model key from a
-							// slot carrying failedVertex, so the deref is safe.
-							slots[j].Vertex = true
-							slots[j].A = int32(*req.Queries[i].FailedVertex)
-						} else {
-							slots[j].A = int32(req.Queries[i].Fail[0])
-							slots[j].B = int32(req.Queries[i].Fail[1])
-						}
-					}
-					wdists, werrs, werr, err := wc.Batch(r.Context(), slots)
-					switch {
-					case err == nil && werr == nil:
-						rt.rm.wireBatches.Inc()
-						sb.member.markRequest(true, downAfter)
-						resp.Dists = make([]int, len(wdists))
-						for j, d := range wdists {
-							resp.Dists[j] = int(d)
-						}
-						for _, e := range werrs {
-							if e != "" {
-								resp.Errors = werrs
-								break
-							}
-						}
-						res = attemptResult{code: http.StatusOK}
-						answered, decoded = true, true
-					case err == nil:
-						rt.rm.wireBatches.Inc()
-						sb.member.markRequest(werr.Code < http.StatusInternalServerError, downAfter)
-						eb, _ := json.Marshal(map[string]string{"error": werr.Msg})
-						res = attemptResult{code: werr.Code, body: eb}
-						answered = true
-					case r.Context().Err() == nil:
-						rt.rm.wireFallbacks.Inc()
-					}
+				var (
+					wdists []int32
+					werrs  []string
+					werr   *wire.Error
+				)
+				wc, err := sb.member.wireClient()
+				if err == nil {
+					ctx, fold := attemptTrace(r.Context(), sb.member)
+					wdists, werrs, werr, err = wc.Batch(ctx, slots)
+					fold()
 				}
-				if !answered {
-					payload, err := json.Marshal(&sub)
-					if err != nil {
-						mu.Lock()
-						for _, i := range sb.slots {
-							errs[i] = "cluster: " + err.Error()
-						}
-						mu.Unlock()
-						return
-					}
-					res = rt.forward(r.Context(), sb.member, http.MethodPost, "/batch-query", "", payload)
-					decoded = res.err == nil && res.code == http.StatusOK &&
-						json.Unmarshal(res.body, &resp) == nil
-				}
-				ok := decoded && len(resp.Dists) == len(sb.slots) &&
-					(resp.Errors == nil || len(resp.Errors) == len(sb.slots))
+				rt.scoreWire(r.Context(), sb.member, rt.rm.wireBatches, werr, err)
 				mu.Lock()
 				defer mu.Unlock()
-				if !ok {
+				if err != nil || werr != nil {
 					// Whole sub-batch failed. Only a deterministic 4xx (a
 					// malformed sub-request every replica would repeat)
-					// fails its slots in place; transport faults, retryable
-					// statuses, and un-decodable 200s (version skew, an
-					// intermediary's error page) are shard-specific, so
-					// those slots go to the next replica.
-					msg := fmt.Sprintf("cluster: shard %s failed", sb.member.ID)
-					if res.err != nil {
-						msg = fmt.Sprintf("cluster: shard %s: %v", sb.member.ID, res.err)
-					} else if res.code != http.StatusOK {
-						msg = fmt.Sprintf("cluster: shard %s: status %d: %s", sb.member.ID, res.code, bytes.TrimSpace(res.body))
+					// fails its slots in place; transport faults and
+					// retryable statuses are shard-specific, so those slots
+					// go to the next replica.
+					var msg string
+					retry := true
+					if err != nil {
+						msg = fmt.Sprintf("cluster: shard %s: %v", sb.member.ID, err)
 					} else {
-						msg = fmt.Sprintf("cluster: shard %s: malformed batch response", sb.member.ID)
+						msg = fmt.Sprintf("cluster: shard %s: status %d: %s", sb.member.ID, werr.Code, werr.Msg)
+						retry = retryableStatus(werr.Code)
 					}
-					definitive := res.err == nil && res.code != http.StatusOK && !retryableStatus(res.code)
-					retry := !definitive
 					for _, i := range sb.slots {
 						if errs[i] == "" {
 							errs[i] = msg
@@ -979,24 +902,24 @@ func (rt *Router) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 					return
 				}
 				for j, i := range sb.slots {
-					if resp.Errors != nil && resp.Errors[j] != "" {
+					if werrs[j] != "" {
 						// Per-slot error: cold-replica shard state retries
 						// on the next replica (keeping the first message in
 						// case every replica is cold); a verdict on the
 						// query itself is final and overwrites whatever
 						// provisional failover message an earlier dead
 						// replica left behind.
-						if retryableSlotError(resp.Errors[j]) {
+						if retryableSlotError(werrs[j]) {
 							if errs[i] == "" {
-								errs[i] = resp.Errors[j]
+								errs[i] = werrs[j]
 							}
 							nextPending = append(nextPending, i)
 						} else {
-							errs[i] = resp.Errors[j]
+							errs[i] = werrs[j]
 						}
 						continue
 					}
-					dists[i] = resp.Dists[j]
+					dists[i] = int(wdists[j])
 					errs[i] = ""
 				}
 			}()
@@ -1068,15 +991,11 @@ func (rt *Router) handleBuild(w http.ResponseWriter, r *http.Request) {
 // its replicas built it; a pair whose whole replica set failed fails the
 // build.
 func (rt *Router) fanOutBuild(ctx context.Context, g buildGraph, req *server.BuildRequest, alg ftbfs.Algorithm, pairs []server.BuildPair) flightResult {
-	fail := func(code int, err error) flightResult {
-		body, _ := json.Marshal(map[string]string{"error": err.Error()})
-		return flightResult{code: code, body: body}
-	}
 	// Re-encode once: the canonical text preserves edge order, so every
 	// shard computes the same fingerprint the router routed on.
 	var text bytes.Buffer
 	if err := g.Write(&text); err != nil {
-		return fail(http.StatusInternalServerError, err)
+		return flightErr(http.StatusInternalServerError, err)
 	}
 	fp := g.Fingerprint()
 
@@ -1110,7 +1029,7 @@ func (rt *Router) fanOutBuild(ctx context.Context, g buildGraph, req *server.Bui
 		k := store.Key{Graph: fp, Source: p.Source, Eps: p.Eps, Alg: alg}
 		owners := rt.m.Owners(KeyHash(k))
 		if len(owners) == 0 {
-			return fail(http.StatusServiceUnavailable, fmt.Errorf("cluster: no shards joined"))
+			return flightErr(http.StatusServiceUnavailable, fmt.Errorf("cluster: no shards joined"))
 		}
 		pairOwners[i] = owners
 		for _, m := range owners {
@@ -1129,7 +1048,7 @@ func (rt *Router) fanOutBuild(ctx context.Context, g buildGraph, req *server.Bui
 	for i, src := range req.VertexSources {
 		owners := rt.m.Owners(KeyHash(store.VertexKey(fp, src)))
 		if len(owners) == 0 {
-			return fail(http.StatusServiceUnavailable, fmt.Errorf("cluster: no shards joined"))
+			return flightErr(http.StatusServiceUnavailable, fmt.Errorf("cluster: no shards joined"))
 		}
 		vsrcOwners[i] = owners
 		for _, m := range owners {
@@ -1157,7 +1076,7 @@ func (rt *Router) fanOutBuild(ctx context.Context, g buildGraph, req *server.Bui
 				sb.err = err
 				return
 			}
-			res := rt.forwardClient(rt.buildClient, ctx, sb.member, http.MethodPost, "/build", "", payload)
+			res := rt.forwardClient(rt.buildClient, ctx, sb.member, http.MethodPost, "/build", payload)
 			switch {
 			case res.err != nil:
 				sb.err = res.err
@@ -1195,14 +1114,7 @@ func (rt *Router) fanOutBuild(ctx context.Context, g buildGraph, req *server.Bui
 			break
 		}
 		if info == nil {
-			// A deterministic 4xx (bad source, bad eps) is the client's
-			// error on every replica and is relayed as such — matching what
-			// a single node would answer; anything else is a gateway fault.
-			code := http.StatusBadGateway
-			if firstCode >= http.StatusBadRequest && firstCode < http.StatusInternalServerError && !retryableStatus(firstCode) {
-				code = firstCode
-			}
-			return fail(code,
+			return flightErr(relayCode(firstCode),
 				fmt.Errorf("cluster: build (source=%d, eps=%g) failed on all %d replicas: %w",
 					p.Source, p.Eps, len(pairOwners[i]), firstErr))
 		}
@@ -1225,11 +1137,7 @@ func (rt *Router) fanOutBuild(ctx context.Context, g buildGraph, req *server.Bui
 			break
 		}
 		if info == nil {
-			code := http.StatusBadGateway
-			if firstCode >= http.StatusBadRequest && firstCode < http.StatusInternalServerError && !retryableStatus(firstCode) {
-				code = firstCode
-			}
-			return fail(code,
+			return flightErr(relayCode(firstCode),
 				fmt.Errorf("cluster: vertex build (source=%d) failed on all %d replicas: %w",
 					src, len(vsrcOwners[i]), firstErr))
 		}
@@ -1237,7 +1145,7 @@ func (rt *Router) fanOutBuild(ctx context.Context, g buildGraph, req *server.Bui
 	}
 	body, err := json.Marshal(&out)
 	if err != nil {
-		return fail(http.StatusInternalServerError, err)
+		return flightErr(http.StatusInternalServerError, err)
 	}
 	return flightResult{code: http.StatusOK, body: body}
 }
@@ -1281,7 +1189,7 @@ func (rt *Router) handleMutate(w http.ResponseWriter, r *http.Request) {
 		// fan-out starts it runs to its own BuildTimeout-bounded end.
 		ctx, cancel := context.WithTimeout(context.WithoutCancel(r.Context()), rt.opts.BuildTimeout)
 		defer cancel()
-		return rt.fanOutMutate(ctx, lineage, &req, muts)
+		return rt.fanOutMutate(ctx, lineage, muts)
 	})
 	if shared {
 		rt.rm.mutationsCoalesced.Inc()
@@ -1293,37 +1201,28 @@ func (rt *Router) handleMutate(w http.ResponseWriter, r *http.Request) {
 	rt.writeRaw(w, res.code, res.body)
 }
 
-// fanOutMutate ships the batch to every member — binary protocol when the
-// shard speaks it, HTTP otherwise — and merges the replies. Every applying
-// shard derives the same new generation from the same batch, so the merged
-// response carries the common identity plus fleet-summed rebuild counts; a
-// genuinely diverging shard (different gen or fingerprint) fails the fan-out
-// loudly rather than letting replicas silently serve different graphs.
-func (rt *Router) fanOutMutate(ctx context.Context, lineage uint64, req *server.MutateRequest, muts []ftbfs.Mutation) flightResult {
-	fail := func(code int, err error) flightResult {
-		body, _ := json.Marshal(map[string]string{"error": err.Error()})
-		return flightResult{code: code, body: body}
-	}
+// fanOutMutate ships the batch to every member over the binary protocol and
+// merges the replies. Every applying shard derives the same new generation
+// from the same batch, so the merged response carries the common identity
+// plus fleet-summed rebuild counts; a genuinely diverging shard (different
+// gen or fingerprint) fails the fan-out loudly rather than letting replicas
+// silently serve different graphs. A batch is not idempotent, so a shard
+// that cannot be reached is reported, never re-sent to.
+func (rt *Router) fanOutMutate(ctx context.Context, lineage uint64, muts []ftbfs.Mutation) flightResult {
 	members := rt.m.Members()
 	if len(members) == 0 {
-		return fail(http.StatusServiceUnavailable, fmt.Errorf("cluster: no shards joined"))
+		return flightErr(http.StatusServiceUnavailable, fmt.Errorf("cluster: no shards joined"))
 	}
 	wmuts := make([]wire.MutationWire, len(muts))
 	for i, m := range muts {
 		wmuts[i] = wire.MutationWire{Op: uint8(m.Op), U: uint32(m.U), V: uint32(m.V)}
 	}
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return fail(http.StatusInternalServerError, err)
-	}
 
 	type shardMutate struct {
-		member  *Member
-		resp    server.MutateResponse
-		applied bool
-		notHeld bool
-		err     error
-		code    int // HTTP status behind err, 0 for transport faults
+		member *Member
+		res    wire.MutateResult
+		werr   *wire.Error
+		err    error
 	}
 	shards := make([]*shardMutate, len(members))
 	var wg sync.WaitGroup
@@ -1333,109 +1232,86 @@ func (rt *Router) fanOutMutate(ctx context.Context, lineage uint64, req *server.
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if wc := rt.wireFor(sm.member); wc != nil {
-				res, werr, err := wc.Mutate(ctx, lineage, wmuts)
-				switch {
-				case err == nil && werr == nil:
-					rt.rm.wireMutations.Inc()
-					sm.member.markRequest(true, downAfter)
-					sm.resp = server.MutateResponse{
-						Graph:         fmt.Sprintf("%016x", res.Lineage),
-						Gen:           res.Gen,
-						Fingerprint:   fmt.Sprintf("%016x", res.FP),
-						RebuildsDelta: int(res.RebuildsDelta),
-						RebuildsFull:  int(res.RebuildsFull),
-					}
-					sm.applied = true
-					return
-				case err == nil && werr.Code == http.StatusNotFound:
-					rt.rm.wireMutations.Inc()
-					sm.member.markRequest(true, downAfter)
-					sm.notHeld = true
-					return
-				case err == nil && werr.Code != http.StatusNotImplemented:
-					rt.rm.wireMutations.Inc()
-					sm.member.markRequest(werr.Code < http.StatusInternalServerError, downAfter)
-					sm.err = fmt.Errorf("status %d: %s", werr.Code, werr.Msg)
-					sm.code = werr.Code
-					return
-				case ctx.Err() != nil:
-					sm.err = ctx.Err()
-					return
-				}
-				// Wire transport fault or in-protocol 501: retry over HTTP.
-				rt.rm.wireFallbacks.Inc()
+			wc, err := sm.member.wireClient()
+			if err == nil {
+				actx, fold := attemptTrace(ctx, sm.member)
+				sm.res, sm.werr, err = wc.Mutate(actx, lineage, wmuts)
+				fold()
 			}
-			res := rt.forwardClient(rt.buildClient, ctx, sm.member, http.MethodPost, "/mutate", "", payload)
-			switch {
-			case res.err != nil:
-				sm.err = res.err
-			case res.code == http.StatusNotFound:
-				sm.notHeld = true
-			case res.code != http.StatusOK:
-				sm.err = fmt.Errorf("status %d: %s", res.code, bytes.TrimSpace(res.body))
-				sm.code = res.code
-			default:
-				if err := json.Unmarshal(res.body, &sm.resp); err != nil {
-					sm.err = err
-				} else {
-					sm.applied = true
-				}
-			}
+			sm.err = err
+			rt.scoreWire(ctx, sm.member, rt.rm.wireMutations, sm.werr, err)
 		}()
 	}
 	wg.Wait()
 
+	var first wire.MutateResult
 	out := server.MutateResponse{Graph: fmt.Sprintf("%016x", lineage)}
 	applied := 0
 	var firstErr error
 	firstCode := 0
 	for _, sm := range shards {
-		if sm.err != nil {
+		switch {
+		case sm.werr != nil && sm.werr.Code == http.StatusNotFound:
+			continue // the shard never saw this lineage
+		case sm.err != nil || sm.werr != nil:
 			if firstErr == nil {
-				firstErr = fmt.Errorf("shard %s: %w", sm.member.ID, sm.err)
-				firstCode = sm.code
+				firstErr = sm.err
+				if sm.werr != nil {
+					firstErr, firstCode = fmt.Errorf("status %d: %s", sm.werr.Code, sm.werr.Msg), sm.werr.Code
+				}
+				firstErr = fmt.Errorf("shard %s: %w", sm.member.ID, firstErr)
 			}
 			continue
 		}
-		if !sm.applied {
-			continue
-		}
 		if applied == 0 {
-			out.Gen = sm.resp.Gen
-			out.Fingerprint = sm.resp.Fingerprint
-		} else if out.Gen != sm.resp.Gen || out.Fingerprint != sm.resp.Fingerprint {
-			return fail(http.StatusBadGateway, fmt.Errorf(
-				"cluster: mutation diverged: shard %s reached gen %d fp %s, others gen %d fp %s",
-				sm.member.ID, sm.resp.Gen, sm.resp.Fingerprint, out.Gen, out.Fingerprint))
+			first = sm.res
+		} else if sm.res.Gen != first.Gen || sm.res.FP != first.FP {
+			return flightErr(http.StatusBadGateway, fmt.Errorf(
+				"cluster: mutation diverged: shard %s reached gen %d fp %016x, others gen %d fp %016x",
+				sm.member.ID, sm.res.Gen, sm.res.FP, first.Gen, first.FP))
 		}
 		applied++
-		out.RebuildsDelta += sm.resp.RebuildsDelta
-		out.RebuildsFull += sm.resp.RebuildsFull
+		out.RebuildsDelta += int(sm.res.RebuildsDelta)
+		out.RebuildsFull += int(sm.res.RebuildsFull)
 	}
+	out.Gen, out.Fingerprint = first.Gen, fmt.Sprintf("%016x", first.FP)
 	if firstErr != nil {
 		// One shard refusing or failing the batch while others applied it
 		// splits the lineage across generations; surface it as a gateway
 		// fault (or the shards' own deterministic 4xx) so the caller knows
 		// convergence is not complete. Queries stay safe either way — every
 		// shard serves whichever generation it holds, atomically.
-		code := http.StatusBadGateway
-		if firstCode >= http.StatusBadRequest && firstCode < http.StatusInternalServerError && !retryableStatus(firstCode) {
-			code = firstCode
-		}
-		return fail(code, fmt.Errorf("cluster: mutate applied on %d of %d shards: %w", applied, len(members), firstErr))
+		return flightErr(relayCode(firstCode), fmt.Errorf("cluster: mutate applied on %d of %d shards: %w", applied, len(members), firstErr))
 	}
 	if applied == 0 {
-		return fail(http.StatusNotFound, fmt.Errorf("%s%016x (POST /build first)", server.UnknownGraphPrefix, lineage))
+		return flightErr(http.StatusNotFound, fmt.Errorf("%s%016x (POST /build first)", server.UnknownGraphPrefix, lineage))
 	}
 	rt.rm.mutationShards.Add(uint64(applied))
 	rt.rm.mutationsDelta.Add(uint64(out.RebuildsDelta))
 	rt.rm.mutationsFull.Add(uint64(out.RebuildsFull))
 	body, err := json.Marshal(&out)
 	if err != nil {
-		return fail(http.StatusInternalServerError, err)
+		return flightErr(http.StatusInternalServerError, err)
 	}
 	return flightResult{code: http.StatusOK, body: body}
+}
+
+// flightErr is a fan-out's error reply.
+func flightErr(code int, err error) flightResult {
+	body, _ := json.Marshal(map[string]string{"error": err.Error()})
+	return flightResult{code: code, body: body}
+}
+
+// relayCode is the status a fan-out answers when a shard failed it with
+// shardCode (0 for a transport fault): a deterministic 4xx (bad source, bad
+// eps, an invalid batch) is the client's error on every replica and is
+// relayed as such — matching what a single node would answer; anything
+// else is a gateway fault.
+func relayCode(shardCode int) int {
+	if shardCode >= http.StatusBadRequest && shardCode < http.StatusInternalServerError && !retryableStatus(shardCode) {
+		return shardCode
+	}
+	return http.StatusBadGateway
 }
 
 // buildGraph is the slice of the root Graph API fanOutBuild needs; keeping
@@ -1476,7 +1352,9 @@ type RouterStatsResponse struct {
 	WirePoints      uint64  `json:"wire_points"`
 	WireBatches     uint64  `json:"wire_batches"`
 	WireMutations   uint64  `json:"wire_mutations"`
-	WireFallbacks   uint64  `json:"wire_fallbacks"`
+	// WireFallbacks counts wire transport faults on shard attempts; a point
+	// or batch attempt that hits one fails over to another replica.
+	WireFallbacks uint64 `json:"wire_fallbacks"`
 
 	// Live-graph convergence ledger: mutation fan-outs executed, shard swaps
 	// they applied, and how the fleet's rebuild work split between the delta
@@ -1566,7 +1444,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res := rt.forward(ctx, m, http.MethodGet, "/stats", "", nil)
+			res := rt.forward(ctx, m, http.MethodGet, "/stats", nil)
 			if res.err != nil {
 				resp.Shards[i].Error = res.err.Error()
 				return
@@ -1615,7 +1493,7 @@ func (rt *Router) handleMetricsFleet(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res := rt.forward(ctx, m, http.MethodGet, "/metrics.json", "", nil)
+			res := rt.forward(ctx, m, http.MethodGet, "/metrics.json", nil)
 			if res.err != nil || res.code != http.StatusOK {
 				return
 			}

@@ -284,7 +284,7 @@ func TestTraceHeaderPropagation(t *testing.T) {
 	if !strings.Contains(spans, "router.handle") {
 		t.Errorf("response spans %q missing the router's own span", spans)
 	}
-	if !strings.Contains(spans, ":shard.handle") {
+	if !strings.Contains(spans, ":shard.wire") {
 		t.Errorf("response spans %q missing a folded shard span", spans)
 	}
 
@@ -299,8 +299,8 @@ func TestTraceHeaderPropagation(t *testing.T) {
 		t.Fatalf("router /debug/traces has no record for %s", traceID)
 	}
 	names := strings.Join(spanNames(*routerRec), ",")
-	if !strings.Contains(names, "router.handle") || !strings.Contains(names, ":shard.handle") {
-		t.Errorf("router trace %s spans = %s, want router.handle and a <shard>:shard.handle", traceID, names)
+	if !strings.Contains(names, "router.handle") || !strings.Contains(names, ":shard.wire") {
+		t.Errorf("router trace %s spans = %s, want router.handle and a <shard>:shard.wire", traceID, names)
 	}
 
 	// The shard that served it recorded the same ID in its own ring.
@@ -409,7 +409,7 @@ func TestTraceSampledUnderLatencyChaos(t *testing.T) {
 	}
 	for _, rec := range recs {
 		names := strings.Join(spanNames(rec), ",")
-		if strings.Contains(names, "router.handle") && strings.Contains(names, ":shard.handle") {
+		if strings.Contains(names, "router.handle") && strings.Contains(names, ":shard.wire") {
 			if _, ok := telemetry.ParseTraceID(rec.ID); !ok {
 				t.Fatalf("trace record carries malformed ID %q", rec.ID)
 			}

@@ -757,6 +757,23 @@ func (q *QueryRequest) KeyForEndpoint(path string) (store.Key, error) {
 	return q.EdgeKey()
 }
 
+// Validate checks that the request carries every field the point endpoint
+// at path needs: a target v everywhere, plus a failed edge on
+// /dist-avoiding and a failed vertex on /dist-avoiding-vertex. The shard
+// handlers and the cluster router both call it, so the two tiers refuse an
+// incomplete request with the same 400 and message.
+func (q *QueryRequest) Validate(path string) error {
+	switch {
+	case q.V == nil:
+		return fmt.Errorf("missing target vertex v")
+	case path == "/dist-avoiding" && q.Fail == nil:
+		return fmt.Errorf("missing failed edge (fail=[u,v] or fu=&fv=)")
+	case path == "/dist-avoiding-vertex" && q.FailedVertex == nil:
+		return fmt.Errorf("missing failed vertex (failedVertex or fw=)")
+	}
+	return nil
+}
+
 // ParseQuery decodes a QueryRequest from a POST body or GET parameters.
 func ParseQuery(r *http.Request) (QueryRequest, error) {
 	var q QueryRequest
@@ -901,8 +918,8 @@ func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if q.V == nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("missing target vertex v"))
+	if err := q.Validate(r.URL.Path); err != nil {
+		s.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	st, _, err := s.structureFor(r.Context(), q)
@@ -923,12 +940,8 @@ func (s *Server) handleDistAvoiding(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if q.V == nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("missing target vertex v"))
-		return
-	}
-	if q.Fail == nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("missing failed edge (fail=[u,v] or fu=&fv=)"))
+	if err := q.Validate(r.URL.Path); err != nil {
+		s.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	st, _, err := s.structureFor(r.Context(), q)
@@ -972,12 +985,8 @@ func (s *Server) handleDistAvoidingVertex(w http.ResponseWriter, r *http.Request
 		s.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if q.V == nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("missing target vertex v"))
-		return
-	}
-	if q.FailedVertex == nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("missing failed vertex (failedVertex or fw=)"))
+	if err := q.Validate(r.URL.Path); err != nil {
+		s.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	k, err := q.VertexKey()

@@ -80,8 +80,8 @@ func (s *Server) WirePoint(ctx context.Context, typ byte, q *wire.PointQuery) (i
 	d, werr := s.wirePoint(ctx, typ, q)
 	s.observeWire(typ, start, werr)
 	if tr := telemetry.TraceFrom(ctx); tr != nil {
-		// The response frame has no span field, so a wire-traced request's
-		// spans are retrievable from this shard's own /debug/traces ring.
+		// The span travels back in the response's span trailer and is also
+		// retained in this shard's own /debug/traces ring.
 		tr.Add("shard.wire", start)
 		s.traces.Record(tr, "wire", time.Since(start))
 	}

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -33,14 +34,15 @@ type Client struct {
 // response is what the reader goroutine hands back to a waiter.
 type response struct {
 	typ     byte
-	payload []byte // owned by the waiter
+	payload []byte           // owned by the waiter
+	spans   []telemetry.Span // a traced response's span trailer
 	err     error
 }
 
 // chanPool recycles waiter channels: a channel that delivered its response
 // is drained and safe to reuse, and point queries are frequent enough that
-// the per-request make(chan) shows up. Channels on the forget path (timeout
-// or cancel) are simply dropped — the dying connection may still send to
+// the per-request make(chan) shows up. Channels of abandoned waiters
+// (timeout or cancel) are simply dropped — the reader may still send to
 // them, so they must not be reused.
 var chanPool = sync.Pool{New: func() any { return make(chan response, 1) }}
 
@@ -146,7 +148,7 @@ func (cc *clientConn) readLoop() {
 	br := bufio.NewReaderSize(cc.c, 32<<10)
 	var buf []byte
 	for {
-		typ, id, _, _, payload, newBuf, err := readFrame(br, buf)
+		typ, id, _, trace, payload, newBuf, err := readFrame(br, buf)
 		buf = newBuf
 		if err != nil {
 			cc.fail(fmt.Errorf("wire: connection lost: %w", err))
@@ -156,12 +158,16 @@ func (cc *clientConn) readLoop() {
 		ch, ok := cc.pending[id]
 		delete(cc.pending, id)
 		cc.pmu.Unlock()
-		if ok {
-			// Copy out of the read buffer: the waiter owns its payload.
-			p := make([]byte, len(payload))
-			copy(p, payload)
-			ch <- response{typ: typ, payload: p}
+		if !ok {
+			continue // its waiter gave up; the late answer is discarded
 		}
+		var r response
+		if trace != 0 {
+			payload, r.spans, r.err = splitSpanTrailer(payload)
+		}
+		// Copy out of the read buffer: the waiter owns its payload.
+		r.typ, r.payload = typ, append([]byte(nil), payload...)
+		ch <- r
 	}
 }
 
@@ -216,42 +222,43 @@ func (cc *clientConn) send(typ byte, id uint64, budget uint32, trace uint64, pay
 	return ch, nil
 }
 
-// forget abandons a waiter (timeout/cancel); the connection is killed, since
-// an abandoned in-flight response would otherwise desynchronise nothing —
-// ids keep frames matched — but a hung server must not pin a conn forever.
-func (cc *clientConn) forget(id uint64, err error) {
+// drop abandons one waiter and reports whether it was still pending. The
+// connection and every other request on it carry on: ids keep frames
+// matched, so readLoop simply discards the late response.
+func (cc *clientConn) drop(id uint64) bool {
 	cc.pmu.Lock()
 	_, mine := cc.pending[id]
 	delete(cc.pending, id)
 	cc.pmu.Unlock()
-	if mine {
-		cc.fail(err)
-	}
+	return mine
 }
 
 // do sends one request and waits for its response. The caller's remaining
 // context deadline travels in the frame's budget field (rounded up to a whole
 // millisecond) so the server stops working when the caller stops waiting; a
 // telemetry trace in the context travels in the trace field so shard-side
-// spans share the caller's trace ID.
+// spans share the caller's trace ID, and the spans the server sends back
+// are folded into that trace.
+//
+// Cancellation and the caller's deadline abandon only this request. The
+// connection is torn down only by an I/O error or by the client's own
+// request timeout — the sign of a hung server — so one caller giving up
+// never fails the requests it shares a connection with.
 func (c *Client) do(ctx context.Context, typ byte, payload []byte) (response, error) {
 	cc, err := c.conn()
 	if err != nil {
 		return response{}, err
 	}
 	var trace uint64
-	if tr := telemetry.TraceFrom(ctx); tr != nil {
+	tr := telemetry.TraceFrom(ctx)
+	if tr != nil {
 		trace = tr.ID()
 	}
-	timeout := c.reqTimeout
 	var budget uint32
 	if dl, ok := ctx.Deadline(); ok {
 		d := time.Until(dl)
 		if d <= 0 {
 			return response{}, context.DeadlineExceeded
-		}
-		if d < timeout {
-			timeout = d
 		}
 		ms := int64((d + time.Millisecond - 1) / time.Millisecond)
 		if ms > int64(^uint32(0)) {
@@ -267,10 +274,10 @@ func (c *Client) do(ctx context.Context, typ byte, payload []byte) (response, er
 	}
 	var timer *time.Timer
 	if t, _ := timerPool.Get().(*time.Timer); t != nil {
-		t.Reset(timeout)
+		t.Reset(c.reqTimeout)
 		timer = t
 	} else {
-		timer = time.NewTimer(timeout)
+		timer = time.NewTimer(c.reqTimeout)
 	}
 	select {
 	case r := <-ch:
@@ -279,46 +286,66 @@ func (c *Client) do(ctx context.Context, typ byte, payload []byte) (response, er
 		// The channel delivered its single response; it is empty and safe
 		// to reuse.
 		chanPool.Put(ch)
+		if tr != nil {
+			for _, sp := range r.spans {
+				tr.AddSpan(sp)
+			}
+		}
 		return r, r.err
 	case <-ctx.Done():
-		cc.forget(id, ctx.Err())
+		cc.drop(id)
 		timer.Stop()
 		timerPool.Put(timer)
 		return response{}, ctx.Err()
 	case <-timer.C:
-		err := fmt.Errorf("wire: request timed out after %v", timeout)
-		cc.forget(id, err)
+		err := fmt.Errorf("wire: request timed out after %v", c.reqTimeout)
+		if cc.drop(id) {
+			// No answer within the client's own timeout: the server is
+			// hung, and must not pin this connection forever.
+			cc.fail(err)
+		}
 		timerPool.Put(timer)
 		return response{}, err
 	}
 }
 
-// Point answers one point query. A non-nil *Error is a definitive in-protocol
-// answer from the server (mirroring an HTTP status); a non-nil error is a
-// transport failure the caller may retry or fall back from.
-func (c *Client) Point(ctx context.Context, typ byte, q *PointQuery) (int32, *Error, error) {
-	buf := getBuf()
-	payload := appendPoint((*buf)[:0], q)
+// call sends one request and sorts its response into the payload of the
+// expected response type, the server's in-protocol *Error, or a transport
+// error — a response of any other type included.
+func (c *Client) call(ctx context.Context, typ byte, payload []byte, want byte) ([]byte, *Error, error) {
 	r, err := c.do(ctx, typ, payload)
-	putBuf(buf)
 	if err != nil {
-		return 0, nil, err
+		return nil, nil, err
 	}
 	switch r.typ {
-	case RDist:
-		if len(r.payload) != 4 {
-			return 0, nil, fmt.Errorf("wire: bad point response length %d", len(r.payload))
-		}
-		return int32(uint32(r.payload[0]) | uint32(r.payload[1])<<8 | uint32(r.payload[2])<<16 | uint32(r.payload[3])<<24), nil, nil
+	case want:
+		return r.payload, nil, nil
 	case RError:
-		werr, perr := parseError(r.payload)
-		if perr != nil {
-			return 0, nil, perr
+		werr, err := parseError(r.payload)
+		if err != nil {
+			return nil, nil, err
 		}
-		return 0, werr, nil
+		return nil, werr, nil
 	default:
-		return 0, nil, fmt.Errorf("wire: unexpected response type %#x", r.typ)
+		return nil, nil, fmt.Errorf("wire: unexpected response type %#x", r.typ)
 	}
+}
+
+// Point answers one point query. A non-nil *Error is a definitive in-protocol
+// answer from the server (mirroring an HTTP status); a non-nil error is a
+// transport failure, which a replicated caller answers by failing over to
+// another replica.
+func (c *Client) Point(ctx context.Context, typ byte, q *PointQuery) (int32, *Error, error) {
+	buf := getBuf()
+	p, werr, err := c.call(ctx, typ, appendPoint((*buf)[:0], q), RDist)
+	putBuf(buf)
+	if err != nil || werr != nil {
+		return 0, werr, err
+	}
+	if len(p) != 4 {
+		return 0, nil, fmt.Errorf("wire: bad point response length %d", len(p))
+	}
+	return int32(binary.LittleEndian.Uint32(p)), nil, nil
 }
 
 // FetchRecord fetches the record bytes of one structure from a peer shard
@@ -328,24 +355,8 @@ func (c *Client) Point(ctx context.Context, typ byte, q *PointQuery) (int32, *Er
 // has no such bound); a non-nil error is a transport failure.
 func (c *Client) FetchRecord(ctx context.Context, k *HandoffKey) ([]byte, *Error, error) {
 	buf := getBuf()
-	payload := appendHandoffKey((*buf)[:0], k)
-	r, err := c.do(ctx, THandoff, payload)
-	putBuf(buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	switch r.typ {
-	case RHandoff:
-		return r.payload, nil, nil
-	case RError:
-		werr, perr := parseError(r.payload)
-		if perr != nil {
-			return nil, nil, perr
-		}
-		return nil, werr, nil
-	default:
-		return nil, nil, fmt.Errorf("wire: unexpected response type %#x", r.typ)
-	}
+	defer putBuf(buf)
+	return c.call(ctx, THandoff, appendHandoffKey((*buf)[:0], k), RHandoff)
 }
 
 // FetchGraph fetches the canonical text of one graph from a peer shard —
@@ -353,86 +364,44 @@ func (c *Client) FetchRecord(ctx context.Context, k *HandoffKey) ([]byte, *Error
 // Error semantics match FetchRecord.
 func (c *Client) FetchGraph(ctx context.Context, fp uint64) ([]byte, *Error, error) {
 	var payload [8]byte
-	payload[0], payload[1], payload[2], payload[3] = byte(fp), byte(fp>>8), byte(fp>>16), byte(fp>>24)
-	payload[4], payload[5], payload[6], payload[7] = byte(fp>>32), byte(fp>>40), byte(fp>>48), byte(fp>>56)
-	r, err := c.do(ctx, TGraph, payload[:])
-	if err != nil {
-		return nil, nil, err
-	}
-	switch r.typ {
-	case RGraph:
-		return r.payload, nil, nil
-	case RError:
-		werr, perr := parseError(r.payload)
-		if perr != nil {
-			return nil, nil, perr
-		}
-		return nil, werr, nil
-	default:
-		return nil, nil, fmt.Errorf("wire: unexpected response type %#x", r.typ)
-	}
+	binary.LittleEndian.PutUint64(payload[:], fp)
+	return c.call(ctx, TGraph, payload[:], RGraph)
 }
 
 // Mutate applies one edge-mutation batch to the graph of the given lineage on
 // a peer shard and returns the new generation's identity plus the shard's
 // rebuild ledger. A non-nil *Error is the shard's definitive in-protocol
-// answer (404 graph not held there, 501 transport lacks mutation support —
-// the caller then falls back to HTTP); a non-nil error is a transport
-// failure.
+// answer (404 graph not held there, 501 backend without mutation support);
+// a non-nil error is a transport failure. Neither is retried here: a batch
+// is not idempotent.
 func (c *Client) Mutate(ctx context.Context, lineage uint64, muts []MutationWire) (MutateResult, *Error, error) {
 	buf := getBuf()
-	payload := appendMutate((*buf)[:0], lineage, muts)
-	r, err := c.do(ctx, TMutate, payload)
+	p, werr, err := c.call(ctx, TMutate, appendMutate((*buf)[:0], lineage, muts), RMutate)
 	putBuf(buf)
-	if err != nil {
-		return MutateResult{}, nil, err
+	if err != nil || werr != nil {
+		return MutateResult{}, werr, err
 	}
-	switch r.typ {
-	case RMutate:
-		res, perr := parseMutateResponse(r.payload)
-		if perr != nil {
-			return MutateResult{}, nil, perr
-		}
-		return res, nil, nil
-	case RError:
-		werr, perr := parseError(r.payload)
-		if perr != nil {
-			return MutateResult{}, nil, perr
-		}
-		return MutateResult{}, werr, nil
-	default:
-		return MutateResult{}, nil, fmt.Errorf("wire: unexpected response type %#x", r.typ)
-	}
+	res, err := parseMutateResponse(p)
+	return res, nil, err
 }
 
 // Batch answers a batch of slots; dists and errs are parallel to slots with
 // "" marking success. A non-nil *Error means the server rejected the whole
-// batch; a non-nil error is a transport failure.
+// batch; a non-nil error is a transport failure, after which a replicated
+// caller re-sends the slots to another replica.
 func (c *Client) Batch(ctx context.Context, slots []BatchSlot) ([]int32, []string, *Error, error) {
 	buf := getBuf()
-	payload := appendBatch((*buf)[:0], slots)
-	r, err := c.do(ctx, TBatch, payload)
+	p, werr, err := c.call(ctx, TBatch, appendBatch((*buf)[:0], slots), RBatch)
 	putBuf(buf)
+	if err != nil || werr != nil {
+		return nil, nil, werr, err
+	}
+	dists, errs, err := parseBatchResponse(p)
+	if err == nil && len(dists) != len(slots) {
+		err = fmt.Errorf("wire: batch response has %d slots, want %d", len(dists), len(slots))
+	}
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	switch r.typ {
-	case RBatch:
-		dists, errs, perr := parseBatchResponse(r.payload)
-		if perr != nil {
-			return nil, nil, nil, perr
-		}
-		if len(dists) != len(slots) {
-			return nil, nil, nil, fmt.Errorf("wire: batch response has %d slots, want %d", len(dists), len(slots))
-		}
-		return dists, errs, nil, nil
-	case RError:
-		werr, perr := parseError(r.payload)
-		if perr != nil {
-			return nil, nil, nil, perr
-		}
-		return nil, nil, werr, nil
-	default:
-		return nil, nil, nil, fmt.Errorf("wire: unexpected response type %#x", r.typ)
-	}
+	return dists, errs, nil, nil
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -43,8 +44,7 @@ type HandoffBackend interface {
 // MutateBackend is the optional live-graph extension of Backend: backends
 // implementing it additionally serve TMutate frames, applying an edge
 // mutation batch and atomically swapping the shard to the new generation. A
-// backend without it answers with an in-protocol 501 — the router then falls
-// back to the HTTP /mutate surface.
+// backend without it answers with an in-protocol 501.
 type MutateBackend interface {
 	// WireMutate applies one mutation batch to the graph of the given
 	// lineage (or answers an in-protocol error: 404 unknown graph, 400
@@ -137,94 +137,101 @@ var errProtocol = errors.New("wire: protocol error")
 // answer decodes and answers one request frame. A non-zero budget bounds the
 // backend's work with a context deadline — the caller has already given up
 // once it expires, so finishing the computation would be wasted work. A
-// non-zero trace hands the backend a telemetry trace with the caller's ID;
-// the untraced hot path pays a single branch.
+// non-zero trace hands the backend a telemetry trace with the caller's ID
+// and sends the spans it recorded back in the response's span trailer; the
+// untraced hot path pays a single branch.
 func answer(ctx context.Context, w io.Writer, backend Backend, typ byte, id uint64, budget uint32, trace uint64, payload []byte) error {
 	if budget > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(budget)*time.Millisecond)
 		defer cancel()
 	}
+	var tr *telemetry.Trace
 	if trace != 0 {
-		ctx = telemetry.WithTrace(ctx, telemetry.NewTrace(trace))
+		tr = telemetry.NewTrace(trace)
+		ctx = telemetry.WithTrace(ctx, tr)
 	}
+	buf := getBuf()
+	defer putBuf(buf)
+	rtyp, body, err := respond(ctx, backend, typ, payload, (*buf)[:0])
+	if err != nil {
+		return err
+	}
+	if tr != nil {
+		// A fresh slice: body may alias backend-owned bytes (a handoff
+		// record). A trailer that would overflow the frame bound is left
+		// off — the answer matters more than its spans.
+		if traced := appendSpanTrailer(append([]byte(nil), body...), tr.Spans()); len(traced) <= MaxPayload {
+			return writeFrame(w, rtyp, id, 0, trace, traced)
+		}
+	}
+	return writeFrame(w, rtyp, id, 0, 0, body)
+}
+
+// respond decodes one request payload, asks the backend, and returns the
+// response frame's type and payload (appended to buf where it is encoded
+// here). A non-nil error means the frame cannot be answered in-protocol.
+func respond(ctx context.Context, backend Backend, typ byte, payload, buf []byte) (byte, []byte, error) {
 	switch typ {
 	case TDist, TDistAvoiding, TDistAvoidingVertex:
 		q, err := parsePoint(payload)
 		if err != nil {
-			return errProtocol
+			return 0, nil, errProtocol
 		}
 		d, werr := backend.WirePoint(ctx, typ, &q)
 		if werr != nil {
-			buf := getBuf()
-			defer putBuf(buf)
-			return writeFrame(w, RError, id, 0, 0, appendError((*buf)[:0], werr.Code, werr.Msg))
+			return RError, appendError(buf, werr.Code, werr.Msg), nil
 		}
-		var db [4]byte
-		db[0], db[1], db[2], db[3] = byte(d), byte(d>>8), byte(d>>16), byte(d>>24)
-		return writeFrame(w, RDist, id, 0, 0, db[:])
+		return RDist, binary.LittleEndian.AppendUint32(buf, uint32(d)), nil
 	case TBatch:
 		slots, err := parseBatch(payload)
 		if err != nil {
-			return errProtocol
+			return 0, nil, errProtocol
 		}
 		dists, errs := backend.WireBatch(ctx, slots)
-		buf := getBuf()
-		defer putBuf(buf)
-		return writeFrame(w, RBatch, id, 0, 0, appendBatchResponse((*buf)[:0], dists, errs))
+		return RBatch, appendBatchResponse(buf, dists, errs), nil
 	case THandoff:
 		k, err := parseHandoffKey(payload)
 		if err != nil {
-			return errProtocol
+			return 0, nil, errProtocol
 		}
 		hb, ok := backend.(HandoffBackend)
 		if !ok {
-			return writeError(w, id, 501, "handoff not supported")
+			return RError, appendError(buf, 501, "handoff not supported"), nil
 		}
 		data, werr := hb.HandoffRecord(ctx, &k)
 		if werr != nil {
-			return writeError(w, id, werr.Code, werr.Msg)
+			return RError, appendError(buf, werr.Code, werr.Msg), nil
 		}
-		return writeFrame(w, RHandoff, id, 0, 0, data)
+		return RHandoff, data, nil
 	case TGraph:
 		if len(payload) != 8 {
-			return errProtocol
+			return 0, nil, errProtocol
 		}
-		fp := uint64(payload[0]) | uint64(payload[1])<<8 | uint64(payload[2])<<16 | uint64(payload[3])<<24 |
-			uint64(payload[4])<<32 | uint64(payload[5])<<40 | uint64(payload[6])<<48 | uint64(payload[7])<<56
 		hb, ok := backend.(HandoffBackend)
 		if !ok {
-			return writeError(w, id, 501, "handoff not supported")
+			return RError, appendError(buf, 501, "handoff not supported"), nil
 		}
-		data, werr := hb.HandoffGraph(ctx, fp)
+		data, werr := hb.HandoffGraph(ctx, binary.LittleEndian.Uint64(payload))
 		if werr != nil {
-			return writeError(w, id, werr.Code, werr.Msg)
+			return RError, appendError(buf, werr.Code, werr.Msg), nil
 		}
-		return writeFrame(w, RGraph, id, 0, 0, data)
+		return RGraph, data, nil
 	case TMutate:
 		lineage, muts, err := parseMutate(payload)
 		if err != nil {
-			return errProtocol
+			return 0, nil, errProtocol
 		}
 		mb, ok := backend.(MutateBackend)
 		if !ok {
-			return writeError(w, id, 501, "mutate not supported")
+			return RError, appendError(buf, 501, "mutate not supported"), nil
 		}
 		res, werr := mb.WireMutate(ctx, lineage, muts)
 		if werr != nil {
-			return writeError(w, id, werr.Code, werr.Msg)
+			return RError, appendError(buf, werr.Code, werr.Msg), nil
 		}
-		buf := getBuf()
-		defer putBuf(buf)
-		return writeFrame(w, RMutate, id, 0, 0, appendMutateResponse((*buf)[:0], &res))
+		return RMutate, appendMutateResponse(buf, &res), nil
 	default:
-		return errProtocol
+		return 0, nil, errProtocol
 	}
-}
-
-// writeError writes one RError frame.
-func writeError(w io.Writer, id uint64, code int, msg string) error {
-	buf := getBuf()
-	defer putBuf(buf)
-	return writeFrame(w, RError, id, 0, 0, appendError((*buf)[:0], code, msg))
 }

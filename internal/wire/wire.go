@@ -6,25 +6,33 @@
 //
 // Connection preamble (client → server, once): "FTBW" + version u32.
 //
-// Frame layout (protocol version 3), everything little-endian:
+// Frame layout (protocol version 4), everything little-endian:
 //
 //	length  u32  bytes after this field: 1 (type) + 8 (id) + 4 (budget) + 8 (trace) + payload + 4 (crc)
 //	type    u8   request or response type
 //	id      u64  request id, echoed verbatim by the response
 //	budget  u32  caller's remaining deadline budget in milliseconds (0 = none);
 //	             meaningful on requests, zero on responses
-//	trace   u64  telemetry trace ID (0 = untraced); meaningful on requests,
-//	             zero on responses — the wire twin of the X-Ftbfs-Trace header
+//	trace   u64  telemetry trace ID (0 = untraced) — the wire twin of the
+//	             X-Ftbfs-Trace header; a response echoes it when the request
+//	             carried one, and then ends its payload with a span trailer
 //	payload      fixed-layout body, see below
 //	crc     u32  CRC-32C (Castagnoli) over type+id+budget+trace+payload
 //
 // The trailing checksum is what makes "zero wrong answers under corrupted
 // bytes" an honest guarantee: a flipped bit anywhere in a frame surfaces as a
-// transport error (the connection is dropped and the caller retries or falls
-// back to HTTP) instead of a silently wrong distance. The budget field
+// transport error (the connection is dropped and the caller fails over to
+// another replica) instead of a silently wrong distance. The budget field
 // propagates the caller's deadline shard-side so a server never works past
 // the time its caller is still willing to wait; the trace field propagates
 // the caller's trace ID so a sampled request's spans line up across layers.
+//
+// Span trailer (new in version 4): the response to a frame with a non-zero
+// trace field carries the server's spans for that request after its
+// ordinary payload — the JSON span array the X-Ftbfs-Spans header carries
+// over HTTP, then that array's byte length u32 — and echoes the trace ID so
+// the client knows to split it off. Untraced responses are byte-identical
+// to version 3, so tracing costs nothing on the untraced path.
 //
 // Point request payload (TDist / TDistAvoiding / TDistAvoidingVertex),
 // 36 bytes: graph fingerprint u64, ε bits u64, source i32, algorithm i32,
@@ -41,25 +49,28 @@
 // count 9-byte entries (op u8 — 0 insert, 1 delete — u u32, v u32). The
 // RMutate response is fixed 32 bytes: lineage u64, new generation u64, new
 // fingerprint u64, delta-rebuild count u32, full-rebuild count u32. Backends
-// without mutation support answer an in-protocol 501 and the caller falls
-// back to the HTTP /mutate surface.
+// without mutation support answer an in-protocol 501.
 package wire
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 	"sync"
+
+	"ftbfs/internal/telemetry"
 )
 
 // Protocol constants.
 const (
 	// Version is the protocol version sent in the connection preamble.
 	// Version 2 added the per-frame budget field and CRC-32C trailer;
-	// version 3 added the per-frame trace field.
-	Version uint32 = 3
+	// version 3 added the per-frame trace field; version 4 added the span
+	// trailer on traced responses.
+	Version uint32 = 4
 
 	// MaxPayload bounds a frame's payload; a peer announcing more is
 	// protocol-corrupt and the connection is dropped. Generous for batches:
@@ -338,6 +349,35 @@ func readFrame(r io.Reader, buf []byte) (typ byte, id uint64, budget uint32, tra
 		return 0, 0, 0, 0, nil, buf, fmt.Errorf("wire: frame checksum mismatch (corrupted bytes)")
 	}
 	return typ, id, budget, trace, buf[:n-frameTrailer], buf, nil
+}
+
+// appendSpanTrailer appends the version-4 span trailer to a traced
+// response's payload: the spans as a JSON array, then its length u32.
+func appendSpanTrailer(buf []byte, spans []telemetry.Span) []byte {
+	js, err := json.Marshal(spans)
+	if err != nil {
+		js = []byte("[]")
+	}
+	buf = append(buf, js...)
+	return binary.LittleEndian.AppendUint32(buf, uint32(len(js)))
+}
+
+// splitSpanTrailer separates a traced response's payload from its span
+// trailer.
+func splitSpanTrailer(payload []byte) ([]byte, []telemetry.Span, error) {
+	end := len(payload) - 4
+	if end < 0 {
+		return nil, nil, fmt.Errorf("wire: span trailer truncated")
+	}
+	n := int(binary.LittleEndian.Uint32(payload[end:]))
+	if n > end {
+		return nil, nil, fmt.Errorf("wire: span trailer claims %d of %d bytes", n, end)
+	}
+	var spans []telemetry.Span
+	if err := json.Unmarshal(payload[end-n:end], &spans); err != nil {
+		return nil, nil, fmt.Errorf("wire: span trailer: %w", err)
+	}
+	return payload[:end-n], spans, nil
 }
 
 // appendPoint appends the fixed point payload.

@@ -225,11 +225,17 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add(appendFrame(nil, TBatch, 9, 250, 0, appendBatch(nil, []BatchSlot{{PointQuery: PointQuery{V: 1}, Vertex: true}})))
 	f.Add(appendFrame(nil, RError, 1, 0, 7, appendError(nil, 404, "nope")))
 	f.Add(appendFrame(nil, RBatch, 2, 0, 0, appendBatchResponse(nil, []int32{1, -1}, []string{"", "bad"})))
+	f.Add(appendFrame(nil, RDist, 3, 0, 5, appendSpanTrailer([]byte{1, 0, 0, 0}, []telemetry.Span{{Name: "shard.wire", DurUs: 4}})))
 	f.Add([]byte{0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		typ, _, _, _, payload, _, err := readFrame(bytes.NewReader(data), nil)
+		typ, _, _, trace, payload, _, err := readFrame(bytes.NewReader(data), nil)
 		if err != nil {
 			return
+		}
+		if trace != 0 {
+			if payload, _, err = splitSpanTrailer(payload); err != nil {
+				return
+			}
 		}
 		switch typ {
 		case TDist, TDistAvoiding, TDistAvoidingVertex:
@@ -280,6 +286,7 @@ func (b *traceBackend) WirePoint(ctx context.Context, typ byte, q *PointQuery) (
 	var id uint64
 	if tr := telemetry.TraceFrom(ctx); tr != nil {
 		id = tr.ID()
+		tr.Add("backend.point", time.Now())
 	}
 	b.mu.Lock()
 	b.seen = append(b.seen, id)
@@ -320,5 +327,132 @@ func TestClientPropagatesTraceID(t *testing.T) {
 	defer backend.mu.Unlock()
 	if len(backend.seen) != 2 || backend.seen[0] != 0x1234 || backend.seen[1] != 0 {
 		t.Fatalf("backend saw trace IDs %x, want [1234 0]", backend.seen)
+	}
+}
+
+// TestTracedResponseCarriesSpans proves the version-4 span trailer: the
+// spans a backend records for a traced request come back in the response
+// and land in the caller's trace, while an untraced response is
+// byte-identical to the version-3 encoding.
+func TestTracedResponseCarriesSpans(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); Serve(ctx, ln, &traceBackend{}) }()
+	defer func() { cancel(); <-done }()
+	c := NewClient(ln.Addr().String(), 1)
+	defer c.Close()
+
+	tr := telemetry.NewTrace(0x77)
+	d, werr, err := c.Point(telemetry.WithTrace(context.Background(), tr), TDist, &PointQuery{V: 9, A: -1, B: -1})
+	if err != nil || werr != nil || d != 9 {
+		t.Fatalf("traced Point = %d, %v / %v; want 9", d, werr, err)
+	}
+	if spans := tr.Spans(); len(spans) != 1 || spans[0].Name != "backend.point" {
+		t.Fatalf("caller's trace holds %+v, want the backend's span", spans)
+	}
+
+	var got bytes.Buffer
+	q := appendPoint(nil, &PointQuery{V: 9, A: -1, B: -1})
+	if err := answer(context.Background(), &got, &traceBackend{}, TDist, 4, 0, 0, q); err != nil {
+		t.Fatal(err)
+	}
+	if want := appendFrame(nil, RDist, 4, 0, 0, []byte{9, 0, 0, 0}); !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("untraced response = %x, want the v3 bytes %x", got.Bytes(), want)
+	}
+}
+
+// slowBackend answers each point query with its target after a fixed delay,
+// or with a 504 once the frame's budget runs out first.
+type slowBackend struct{ delay time.Duration }
+
+func (b slowBackend) WirePoint(ctx context.Context, typ byte, q *PointQuery) (int32, *Error) {
+	select {
+	case <-time.After(b.delay):
+		return q.V, nil
+	case <-ctx.Done():
+		return 0, &Error{Code: 504, Msg: "deadline budget exhausted"}
+	}
+}
+
+func (slowBackend) WireBatch(ctx context.Context, slots []BatchSlot) ([]int32, []string) {
+	return make([]int32, len(slots)), make([]string, len(slots))
+}
+
+// TestClientCancelDropsOnlyItsWaiter puts 8 slow requests on one shared
+// connection and abandons one of them, by cancelling its context or by
+// letting its deadline expire. Only that request may fail: its 7 neighbours
+// on the connection must all be answered.
+func TestClientCancelDropsOnlyItsWaiter(t *testing.T) {
+	cases := []struct {
+		name    string
+		abandon func() (context.Context, context.CancelFunc)
+	}{
+		{"cancel", func() (context.Context, context.CancelFunc) {
+			ctx, cancel := context.WithCancel(context.Background())
+			time.AfterFunc(20*time.Millisecond, cancel)
+			return ctx, cancel
+		}},
+		{"deadline", func() (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), 20*time.Millisecond)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatalf("listen: %v", err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan struct{})
+			go func() { defer close(done); Serve(ctx, ln, slowBackend{delay: 30 * time.Millisecond}) }()
+			defer func() { cancel(); <-done }()
+			c := NewClient(ln.Addr().String(), 1)
+			defer c.Close()
+			if _, _, err := c.Point(context.Background(), TDist, &PointQuery{V: 1}); err != nil {
+				t.Fatalf("warm-up point: %v", err) // dials the single connection
+			}
+
+			const n = 8
+			errs := make([]error, n)
+			var wg sync.WaitGroup
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					ctx, cancel := context.WithCancel(context.Background())
+					if i == 0 {
+						ctx, cancel = tc.abandon()
+					}
+					defer cancel()
+					d, werr, err := c.Point(ctx, TDist, &PointQuery{V: int32(i)})
+					switch {
+					case err != nil:
+						errs[i] = err
+					case werr != nil:
+						errs[i] = werr
+					case d != int32(i):
+						errs[i] = fmt.Errorf("answer %d, want %d", d, i)
+					}
+				}(i)
+			}
+			wg.Wait()
+			if errs[0] == nil {
+				t.Error("the abandoned request reported success")
+			}
+			failed := 0
+			for i, err := range errs[1:] {
+				if err != nil {
+					failed++
+					t.Logf("neighbour %d: %v", i+1, err)
+				}
+			}
+			if failed > 0 {
+				t.Fatalf("%d of %d neighbours failed", failed, n-1)
+			}
+		})
 	}
 }
