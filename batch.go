@@ -54,7 +54,7 @@ func BuildBatch(g *Graph, reqs []BatchRequest, opts ...BatchOption) ([]*Structur
 	}
 	out := make([]*Structure, len(sts))
 	for i, st := range sts {
-		out[i] = &Structure{st: st}
+		out[i] = newStructure(st)
 	}
 	return out, nil
 }

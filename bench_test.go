@@ -990,7 +990,7 @@ func BenchmarkVertexBuild(b *testing.B) {
 }
 
 // BenchmarkVertexQuery measures the vertex-failure serving fast paths the
-// VertexQueryPlan provides, against the full-BFS reference:
+// QueryPlan provides, against the full-BFS reference:
 //
 //   - offpath: the failed vertex is off every target's tree path (a leaf of
 //     H's BFS tree), so the answer is an O(1) read of the cached intact
@@ -999,7 +999,7 @@ func BenchmarkVertexBuild(b *testing.B) {
 //     it; only the strict-descendant subtree is repaired, with every arc of
 //     the failed vertex banned.
 //   - batch16-grouped: a 16-query vector over 4 distinct failed tree
-//     vertices, grouped by DistAvoidingVertexMany so each failure repairs
+//     vertices, grouped by DistAvoidingMany so each failure repairs
 //     once for all its targets.
 //   - reference-full-bfs: the pre-plan cost — a restricted BFS over all of
 //     G per query — kept as the yardstick the fast paths are gated against.
@@ -1017,7 +1017,7 @@ func BenchmarkVertexQuery(b *testing.B) {
 	var leaves, internal []int
 	descendant := make(map[int]int) // internal w -> one strict descendant
 	for w := 1; w < n; w++ {
-		if plan.SubtreeSize(w) == 0 {
+		if plan.SubtreeSizeVertex(w) == 0 {
 			leaves = append(leaves, w)
 			continue
 		}
@@ -1037,7 +1037,7 @@ func BenchmarkVertexQuery(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			w := leaves[i%len(leaves)]
-			err := pool.Do(func(o *ftbfs.VertexOracle) error {
+			err := pool.Do(func(o *ftbfs.Oracle) error {
 				_, err := o.DistAvoidingVertex(i%n, w)
 				return err
 			})
@@ -1050,7 +1050,7 @@ func BenchmarkVertexQuery(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			w := internal[i%len(internal)] // rotate: no repair reuse between ops
-			err := pool.Do(func(o *ftbfs.VertexOracle) error {
+			err := pool.Do(func(o *ftbfs.Oracle) error {
 				_, err := o.DistAvoidingVertex(descendant[w], w)
 				return err
 			})
@@ -1061,7 +1061,7 @@ func BenchmarkVertexQuery(b *testing.B) {
 	})
 	b.Run("batch16-grouped", func(b *testing.B) {
 		b.ReportAllocs()
-		queries := make([]ftbfs.VertexFailureQuery, 16)
+		queries := make([]ftbfs.FailureQuery, 16)
 		out := make([]int, len(queries))
 		for j := range queries {
 			w := internal[(j%4)*len(internal)/4] // 4 distinct failures, 4 targets each
@@ -1069,11 +1069,11 @@ func BenchmarkVertexQuery(b *testing.B) {
 			if j%2 == 0 {
 				v = descendant[w] // half the targets force the repaired subtree
 			}
-			queries[j] = ftbfs.VertexFailureQuery{V: v, Failed: w}
+			queries[j] = ftbfs.FailureQuery{V: v, FailedU: w, Vertex: true}
 		}
 		for i := 0; i < b.N; i++ {
-			err := pool.Do(func(o *ftbfs.VertexOracle) error {
-				_, err := o.DistAvoidingVertexMany(queries, out)
+			err := pool.Do(func(o *ftbfs.Oracle) error {
+				_, err := o.DistAvoidingMany(queries, out)
 				return err
 			})
 			if err != nil {

@@ -69,21 +69,23 @@
 //
 // # Vertex failures
 //
-// The same serving machinery exists one model up, for single VERTEX
-// failures (the companion problem of Parter DISC'14 / Parter–Peleg
-// ESA'13): BuildVertex constructs a VertexStructure whose
-// VertexQueryPlan mirrors the edge plan — a failed vertex off the
-// target's tree path in H's BFS tree is an O(1) read of the cached intact
-// vector, a failed tree vertex repairs only its strict-descendant subtree
-// with every arc of the failed vertex banned
-// (bfs.Repair.RunAvoidingVertex). VertexOracle.DistAvoidingVertex is the
-// point query, DistAvoidingVertexRef the full-BFS reference it is
-// differential-tested against, DistAvoidingVertexMany /
-// DistAvoidingVertexEach the grouped batch forms, and
-// VertexStructure.OraclePool the concurrent checkout. VertexStructure.Save
-// and LoadVertexStructure persist the structure as a version-2 record of
-// the structure text format (edge files keep their version-1 record); the
-// store keys vertex structures under a failure-model Key dimension
+// Single VERTEX failures (the companion problem of Parter DISC'14 /
+// Parter–Peleg ESA'13) are served by the same machinery: BuildVertex
+// constructs a VertexStructure, and both structure types answer through one
+// QueryPlan, one Oracle and one OraclePool. The failure model is a property
+// of the structure, not a second set of types: a vertex structure's plan
+// classifies a failed vertex w the way an edge structure's plan classifies
+// a failed edge — a target off w's subtree in H's BFS tree is an O(1) read
+// of the cached intact vector, a target below w reads one repair of w's
+// strict-descendant subtree with every arc of w banned (bfs.Repair.Run takes
+// either ban). Oracle.DistAvoidingVertex is the point query and
+// DistAvoidingVertexRef the full-BFS reference it is differential-tested
+// against; a FailureQuery with Vertex set names a failed vertex, so
+// DistAvoidingMany and DistAvoidingEach batch both models, and an oracle
+// rejects a failure of the other model. VertexStructure.Save and
+// LoadVertexStructure persist the structure as a version-2 record of the
+// structure text format (edge files keep their version-1 record); the store
+// keys vertex structures under a failure-model Key dimension
 // (store.VertexKey) with the same single-flight build-through, LRU and
 // persist directory, and the server exposes them on /dist-avoiding-vertex
 // plus "failedVertex" slots in /batch-query vectors.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"ftbfs/internal/batch"
 	"ftbfs/internal/core"
@@ -112,15 +111,13 @@ func WithoutPhase2() BuildOption {
 // OraclePool serves concurrent failure-simulation queries.
 type Structure struct {
 	st *core.Structure
+	serving
+}
 
-	intactOnce sync.Once
-	intactDist []int32 // cached dist(s, ·) in the intact H; see intactDistances
-
-	planOnce sync.Once
-	qplan    *QueryPlan // cached serving plan; see Plan
-
-	poolOnce sync.Once
-	pool     *OraclePool
+// newStructure wraps a built edge structure with its (lazily built) query
+// side.
+func newStructure(st *core.Structure) *Structure {
+	return &Structure{st: st, serving: serving{g: st.G, src: st.S, edges: st.Edges, reinforced: st.Reinforced}}
 }
 
 // Build constructs an ε FT-BFS structure for (g, source). The graph is
@@ -137,7 +134,7 @@ func Build(g *Graph, source int, eps float64, opts ...BuildOption) (*Structure, 
 	if err != nil {
 		return nil, err
 	}
-	return &Structure{st: st}, nil
+	return newStructure(st), nil
 }
 
 // Source returns the BFS source.

@@ -78,7 +78,7 @@ func TestRepairMatchesFullSearch(t *testing.T) {
 				continue
 			}
 			sub := subtreeOf(bt, v)
-			r.Run(csr, bt.Dist, sub, id)
+			r.Run(csr, bt.Dist, sub, id, -1)
 			sc.DistancesAvoiding(g, 0, Restriction{BannedEdge: id}, want)
 			for _, w := range sub {
 				if got := r.Dist(w); got != want[w] {
@@ -109,7 +109,7 @@ func TestRepairScratchReuse(t *testing.T) {
 		for _, c := range treeChildren {
 			id := bt.ParentEdge[c]
 			sub := subtreeOf(bt, c)
-			r.Run(csr, bt.Dist, sub, id)
+			r.Run(csr, bt.Dist, sub, id, -1)
 			sc.DistancesAvoiding(g, 0, Restriction{BannedEdge: id}, want)
 			for _, w := range sub {
 				if got := r.Dist(w); got != want[w] {

@@ -24,7 +24,7 @@ type vertexFixture struct {
 	fp     string
 	fpU    uint64
 	source int
-	oracle *ftbfs.VertexOracle
+	oracle *ftbfs.Oracle
 	n      int
 }
 

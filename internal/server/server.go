@@ -32,9 +32,9 @@
 // /dist-avoiding-vertex serves the vertex failure model: it addresses a
 // vertex-failure structure (keyed by graph + source only — the vertex
 // construction has no ε or algorithm dimension), built through the store on
-// first use, and answers through pooled VertexOracles exactly like the edge
-// path: an off-tree-path failed vertex is an O(1) read of the intact
-// vector, a failed tree vertex repairs only its subtree.
+// first use, and answers through the same handler, QueryPlan and pooled
+// Oracles as the edge path: an off-tree-path failed vertex is an O(1) read
+// of the intact vector, a failed tree vertex repairs only its subtree.
 //
 // A /batch-query vector may span several structures (each query can carry
 // its own graph/source/eps/alg, defaulting to the request-level address) and
@@ -198,9 +198,9 @@ func New(st *store.Store) *Server {
 	}{
 		{"/build", s.handleBuild},
 		{"/mutate", s.handleMutate},
-		{"/dist", s.handleDist},
-		{"/dist-avoiding", s.handleDistAvoiding},
-		{"/dist-avoiding-vertex", s.handleDistAvoidingVertex},
+		{"/dist", s.handlePoint},
+		{"/dist-avoiding", s.handlePoint},
+		{"/dist-avoiding-vertex", s.handlePoint},
 		{"/batch-query", s.handleBatchQuery},
 		{"/handoff/keys", s.handleHandoffKeys},
 		{"/handoff/record", s.handleHandoffRecord},
@@ -708,15 +708,26 @@ func resolveKey(graphHex string, source int, eps *float64, algName string) (stor
 	if eps != nil {
 		e = *eps
 	}
-	if math.IsNaN(e) || math.IsInf(e, 0) {
-		return store.Key{}, fmt.Errorf("eps must be finite, got %v", e)
-	}
-	if e == 0 {
-		// JSON "-0" parses to negative zero; fold it into +0 so the key —
-		// and the cluster ring position derived from its bits — is unique.
-		e = 0
+	e, err = normEps(e)
+	if err != nil {
+		return store.Key{}, err
 	}
 	return store.Key{Graph: fp, Source: source, Eps: e, Alg: alg}, nil
+}
+
+// normEps is the one ε normaliser of a structure address, shared by the
+// JSON (resolveKey) and wire (keyForPoint) key resolvers. A non-finite ε is
+// rejected before it can poison a store key (NaN never equals itself), and
+// IEEE -0 — what JSON "-0" parses to — folds into +0 so the key, and the
+// cluster ring position derived from its bits, is unique.
+func normEps(e float64) (float64, error) {
+	if math.IsNaN(e) || math.IsInf(e, 0) {
+		return 0, fmt.Errorf("eps must be finite, got %v", e)
+	}
+	if e == 0 {
+		e = 0
+	}
+	return e, nil
 }
 
 // resolveVertexModelKey turns a vertex-failure address into its canonical
@@ -880,10 +891,13 @@ func statusFor(err error) int {
 	return http.StatusBadRequest
 }
 
-// structureForKey resolves (load-through or build-through) a structure by
-// registry key, validating the optional target vertex against its graph.
-// ctx carries the request's deadline budget into the store's miss path.
-func (s *Server) structureForKey(ctx context.Context, k store.Key, v *int) (*ftbfs.Structure, error) {
+// poolForKey resolves (load-through or build-through) the structure a
+// registry key names and returns its oracle pool, validating the optional
+// target vertex against its graph. ctx carries the request's deadline
+// budget into the store's miss path. It is the one place the serving path
+// switches on the key's failure model: past it, both models answer through
+// the same pooled oracles.
+func (s *Server) poolForKey(ctx context.Context, k store.Key, v *int) (*ftbfs.OraclePool, error) {
 	g, ok := s.store.Graph(k.Graph)
 	if !ok {
 		return nil, &UnknownGraphError{Fingerprint: k.Graph}
@@ -891,120 +905,61 @@ func (s *Server) structureForKey(ctx context.Context, k store.Key, v *int) (*ftb
 	if v != nil && (*v < 0 || *v >= g.N()) {
 		return nil, fmt.Errorf("vertex %d out of range [0,%d)", *v, g.N())
 	}
-	// GetOrBuild serves a resident structure on its fast path; misses fall
-	// through to load- or build-through.
-	return s.store.GetOrBuild(ctx, k)
-}
-
-// structureFor resolves the edge structure a query addresses (/dist and
-// /dist-avoiding always serve the edge model, whatever stray fields the
-// request carries).
-func (s *Server) structureFor(ctx context.Context, q QueryRequest) (*ftbfs.Structure, store.Key, error) {
-	k, err := q.EdgeKey()
-	if err != nil {
-		return nil, k, err
+	// Both getters serve a resident structure on their fast path; misses
+	// fall through to load- or build-through.
+	if k.Model == store.ModelVertex {
+		vst, err := s.store.GetOrBuildVertex(ctx, k.Graph, k.Source)
+		if err != nil {
+			return nil, err
+		}
+		return vst.OraclePool(), nil
 	}
-	st, err := s.structureForKey(ctx, k, q.V)
-	return st, k, err
+	st, err := s.store.GetOrBuild(ctx, k)
+	if err != nil {
+		return nil, err
+	}
+	return st.OraclePool(), nil
 }
 
 type distResponse struct {
 	Dist int `json:"dist"` // -1 means unreachable
 }
 
-func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
+// handlePoint serves the three point endpoints. The URL path picks the
+// structure key (KeyForEndpoint) and the question: /dist reads the intact
+// distance from the structure's shared cached vector, /dist-avoiding and
+// /dist-avoiding-vertex answer one failure through the structure's
+// QueryPlan — O(1) for a failure off the target's tree path, a
+// subtree-local repair otherwise.
+func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 	q, err := ParseQuery(r)
+	if err == nil {
+		err = q.Validate(r.URL.Path)
+	}
+	var k store.Key
+	if err == nil {
+		k, err = q.KeyForEndpoint(r.URL.Path)
+	}
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := q.Validate(r.URL.Path); err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	st, _, err := s.structureFor(r.Context(), q)
+	pool, err := s.poolForKey(r.Context(), k, q.V)
 	if err != nil {
 		s.writeErr(w, statusFor(err), err)
 		return
 	}
-	// Intact distances come from the structure's shared cached vector — no
-	// oracle (and no BFS scratch allocation) needed.
-	d := st.Dist(*q.V)
-	s.m.queries.Inc()
-	s.writeJSON(w, http.StatusOK, distResponse{Dist: d})
-}
-
-func (s *Server) handleDistAvoiding(w http.ResponseWriter, r *http.Request) {
-	q, err := ParseQuery(r)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := q.Validate(r.URL.Path); err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	st, _, err := s.structureFor(r.Context(), q)
-	if err != nil {
-		s.writeErr(w, statusFor(err), err)
-		return
-	}
-	// DistAvoiding runs against the structure's QueryPlan: O(1) for
-	// non-tree-edge failures, subtree-local repair otherwise.
 	var d int
-	err = st.OraclePool().Do(func(o *ftbfs.Oracle) error {
+	err = pool.Do(func(o *ftbfs.Oracle) error {
 		var qerr error
-		d, qerr = o.DistAvoiding(*q.V, q.Fail[0], q.Fail[1])
-		return qerr
-	})
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	s.m.queries.Inc()
-	s.writeJSON(w, http.StatusOK, distResponse{Dist: d})
-}
-
-// vertexStructureForKey resolves (load-through or build-through) a
-// vertex-failure structure by registry key, validating the optional target
-// vertex against its graph.
-func (s *Server) vertexStructureForKey(ctx context.Context, k store.Key, v *int) (*ftbfs.VertexStructure, error) {
-	g, ok := s.store.Graph(k.Graph)
-	if !ok {
-		return nil, &UnknownGraphError{Fingerprint: k.Graph}
-	}
-	if v != nil && (*v < 0 || *v >= g.N()) {
-		return nil, fmt.Errorf("vertex %d out of range [0,%d)", *v, g.N())
-	}
-	return s.store.GetOrBuildVertex(ctx, k.Graph, k.Source)
-}
-
-func (s *Server) handleDistAvoidingVertex(w http.ResponseWriter, r *http.Request) {
-	q, err := ParseQuery(r)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := q.Validate(r.URL.Path); err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	k, err := q.VertexKey()
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	st, err := s.vertexStructureForKey(r.Context(), k, q.V)
-	if err != nil {
-		s.writeErr(w, statusFor(err), err)
-		return
-	}
-	// DistAvoidingVertex runs against the structure's VertexQueryPlan: O(1)
-	// for off-tree-path failures, subtree-local repair otherwise.
-	var d int
-	err = st.OraclePool().Do(func(o *ftbfs.VertexOracle) error {
-		var qerr error
-		d, qerr = o.DistAvoidingVertex(*q.V, *q.FailedVertex)
+		switch r.URL.Path {
+		case "/dist":
+			d = o.Dist(*q.V)
+		case "/dist-avoiding-vertex":
+			d, qerr = o.DistAvoidingVertex(*q.V, *q.FailedVertex)
+		default:
+			d, qerr = o.DistAvoiding(*q.V, q.Fail[0], q.Fail[1])
+		}
 		return qerr
 	})
 	if err != nil {
@@ -1082,13 +1037,12 @@ type BatchQueryResponse struct {
 }
 
 // queryGroup is one structure's worth of a batch: the resolved key plus the
-// request slots (indexes into the batch vector) it answers. Exactly one of
-// queries/vqueries is populated, decided by the key's model.
+// request slots (indexes into the batch vector) it answers and their
+// failure queries, parallel to slots.
 type queryGroup struct {
-	key      store.Key
-	slots    []int
-	queries  []ftbfs.FailureQuery
-	vqueries []ftbfs.VertexFailureQuery
+	key     store.Key
+	slots   []int
+	queries []ftbfs.FailureQuery
 }
 
 // answerGroups resolves each group's structure and answers its slots with one
@@ -1112,29 +1066,17 @@ func (s *Server) answerGroups(ctx context.Context, groups []*queryGroup, dists [
 				errs[i] = err.Error()
 			}
 		}
+		pool, err := s.poolForKey(ctx, gr.key, nil)
+		if err != nil {
+			failSlots(err)
+			return
+		}
 		subDists := make([]int, len(gr.slots))
 		subErrs := make([]error, len(gr.slots))
-		if gr.key.Model == store.ModelVertex {
-			st, err := s.vertexStructureForKey(ctx, gr.key, nil)
-			if err != nil {
-				failSlots(err)
-				return
-			}
-			_ = st.OraclePool().Do(func(o *ftbfs.VertexOracle) error {
-				o.DistAvoidingVertexEach(gr.vqueries, subDists, subErrs)
-				return nil
-			})
-		} else {
-			st, err := s.structureForKey(ctx, gr.key, nil)
-			if err != nil {
-				failSlots(err)
-				return
-			}
-			_ = st.OraclePool().Do(func(o *ftbfs.Oracle) error {
-				o.DistAvoidingEach(gr.queries, subDists, subErrs)
-				return nil
-			})
-		}
+		_ = pool.Do(func(o *ftbfs.Oracle) error {
+			o.DistAvoidingEach(gr.queries, subDists, subErrs)
+			return nil
+		})
 		for j, i := range gr.slots {
 			dists[i] = subDists[j]
 			if subErrs[j] != nil {
@@ -1205,10 +1147,9 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 	dists := make([]int, len(req.Queries))
 	errs := make([]string, len(req.Queries))
 	// Group the vector by addressed structure, preserving first-seen order;
-	// a query with an unresolvable address errors its own slot only. The
-	// key's Model decides which query slice a group fills — slots of one
-	// group are homogeneous by construction (vertex slots resolve to vertex
-	// keys), so exactly one of queries/vqueries is populated.
+	// a query with an unresolvable address errors its own slot only. Slots
+	// of one group share a failure model by construction (vertex slots
+	// resolve to vertex keys).
 	var groups []*queryGroup
 	byKey := make(map[store.Key]*queryGroup)
 	for i := range req.Queries {
@@ -1225,12 +1166,12 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 			groups = append(groups, gr)
 		}
 		q := req.Queries[i]
-		gr.slots = append(gr.slots, i)
-		if k.Model == store.ModelVertex {
-			gr.vqueries = append(gr.vqueries, ftbfs.VertexFailureQuery{V: q.V, Failed: *q.FailedVertex})
-		} else {
-			gr.queries = append(gr.queries, ftbfs.FailureQuery{V: q.V, FailedU: q.Fail[0], FailedV: q.Fail[1]})
+		fq := ftbfs.FailureQuery{V: q.V, FailedU: q.Fail[0], FailedV: q.Fail[1]}
+		if q.FailedVertex != nil {
+			fq = ftbfs.FailureQuery{V: q.V, FailedU: *q.FailedVertex, Vertex: true}
 		}
+		gr.slots = append(gr.slots, i)
+		gr.queries = append(gr.queries, fq)
 	}
 	s.m.queries.Add(s.answerGroups(r.Context(), groups, dists, errs))
 	resp := BatchQueryResponse{Dists: dists}

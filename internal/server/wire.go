@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"math"
 	"net/http"
 	"time"
 
@@ -19,20 +18,22 @@ import (
 // as the HTTP handlers, so the two transports are answer-identical by
 // construction — only the encoding differs.
 
-// keyForPoint resolves the registry key a wire point query addresses,
-// mirroring resolveKey/resolveVertexModelKey (which parse the same fields
-// out of JSON): -0 ε folds to +0, non-finite ε and out-of-range algorithms
-// are rejected before they can poison a store key.
+// keyForPoint resolves the registry key a wire point query of type typ
+// addresses, mirroring resolveKey/resolveVertexModelKey (which parse the
+// same fields out of JSON): ε goes through the shared normEps, and unknown
+// point types and out-of-range algorithms are rejected before they can
+// poison a store key.
 func keyForPoint(typ byte, q *wire.PointQuery) (store.Key, error) {
-	if typ == wire.TDistAvoidingVertex {
+	switch typ {
+	case wire.TDistAvoidingVertex:
 		return store.VertexKey(q.FP, int(q.Source)), nil
+	case wire.TDist, wire.TDistAvoiding:
+	default:
+		return store.Key{}, fmt.Errorf("unknown point type %#x", typ)
 	}
-	e := q.Eps()
-	if math.IsNaN(e) || math.IsInf(e, 0) {
-		return store.Key{}, fmt.Errorf("eps must be finite, got %v", e)
-	}
-	if e == 0 {
-		e = 0 // fold IEEE -0 into +0, matching resolveKey
+	e, err := normEps(q.Eps())
+	if err != nil {
+		return store.Key{}, err
 	}
 	if q.Alg < 0 || q.Alg > int32(core.Greedy) {
 		return store.Key{}, fmt.Errorf("unknown algorithm code %d", q.Alg)
@@ -100,48 +101,24 @@ func (s *Server) wirePoint(ctx context.Context, typ byte, q *wire.PointQuery) (i
 		return 0, &wire.Error{Code: http.StatusBadRequest, Msg: err.Error()}
 	}
 	v := int(q.V)
-	var d int
-	switch typ {
-	case wire.TDist:
-		st, err := s.structureForKey(ctx, k, &v)
-		if err != nil {
-			s.m.errs.Inc()
-			return 0, &wire.Error{Code: statusFor(err), Msg: err.Error()}
-		}
-		d = st.Dist(v)
-	case wire.TDistAvoiding:
-		st, err := s.structureForKey(ctx, k, &v)
-		if err != nil {
-			s.m.errs.Inc()
-			return 0, &wire.Error{Code: statusFor(err), Msg: err.Error()}
-		}
-		err = st.OraclePool().Do(func(o *ftbfs.Oracle) error {
-			var qerr error
-			d, qerr = o.DistAvoiding(v, int(q.A), int(q.B))
-			return qerr
-		})
-		if err != nil {
-			s.m.errs.Inc()
-			return 0, &wire.Error{Code: http.StatusBadRequest, Msg: err.Error()}
-		}
-	case wire.TDistAvoidingVertex:
-		st, err := s.vertexStructureForKey(ctx, k, &v)
-		if err != nil {
-			s.m.errs.Inc()
-			return 0, &wire.Error{Code: statusFor(err), Msg: err.Error()}
-		}
-		err = st.OraclePool().Do(func(o *ftbfs.VertexOracle) error {
-			var qerr error
-			d, qerr = o.DistAvoidingVertex(v, int(q.A))
-			return qerr
-		})
-		if err != nil {
-			s.m.errs.Inc()
-			return 0, &wire.Error{Code: http.StatusBadRequest, Msg: err.Error()}
-		}
-	default:
+	pool, err := s.poolForKey(ctx, k, &v)
+	if err != nil {
 		s.m.errs.Inc()
-		return 0, &wire.Error{Code: http.StatusBadRequest, Msg: fmt.Sprintf("unknown point type %#x", typ)}
+		return 0, &wire.Error{Code: statusFor(err), Msg: err.Error()}
+	}
+	var d int
+	err = pool.Do(func(o *ftbfs.Oracle) error {
+		if typ == wire.TDist {
+			d = o.Dist(v)
+			return nil
+		}
+		var qerr error
+		d, qerr = o.DistAvoidingQuery(ftbfs.FailureQuery{V: v, FailedU: int(q.A), FailedV: int(q.B), Vertex: typ == wire.TDistAvoidingVertex})
+		return qerr
+	})
+	if err != nil {
+		s.m.errs.Inc()
+		return 0, &wire.Error{Code: http.StatusBadRequest, Msg: err.Error()}
 	}
 	s.m.queries.Inc()
 	return int32(d), nil
@@ -230,11 +207,7 @@ func (s *Server) WireBatch(ctx context.Context, slots []wire.BatchSlot) ([]int32
 			groups = append(groups, gr)
 		}
 		gr.slots = append(gr.slots, i)
-		if sl.Vertex {
-			gr.vqueries = append(gr.vqueries, ftbfs.VertexFailureQuery{V: int(sl.V), Failed: int(sl.A)})
-		} else {
-			gr.queries = append(gr.queries, ftbfs.FailureQuery{V: int(sl.V), FailedU: int(sl.A), FailedV: int(sl.B)})
-		}
+		gr.queries = append(gr.queries, ftbfs.FailureQuery{V: int(sl.V), FailedU: int(sl.A), FailedV: int(sl.B), Vertex: sl.Vertex})
 	}
 	s.m.queries.Add(s.answerGroups(ctx, groups, dists, errs))
 	out := make([]int32, len(dists))

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"time"
 
-	"ftbfs"
 	"ftbfs/internal/core"
 )
 
@@ -90,13 +89,7 @@ func (s *Store) ExportRecord(k Key) ([]byte, error) {
 	s.mu.Unlock()
 	if ok {
 		var buf bytes.Buffer
-		var err error
-		if k.Model == ModelVertex {
-			err = e.vst.SaveSlab(&buf)
-		} else {
-			err = e.st.SaveSlab(&buf)
-		}
-		if err != nil {
+		if err := e.st.SaveSlab(&buf); err != nil {
 			return nil, fmt.Errorf("store: export %v: %w", k, err)
 		}
 		s.m.handoffsOut.Inc()
@@ -147,34 +140,18 @@ func (s *Store) ImportRecord(k Key, data []byte) (installed bool, err error) {
 			return false, fmt.Errorf("store: handoff of %v: record is a %d-model slab, key wants %d", k, m, want)
 		}
 	}
-	var st *ftbfs.Structure
-	var vst *ftbfs.VertexStructure
-	if k.Model == ModelVertex {
-		vst, err = ftbfs.LoadVertexStructure(g, bytes.NewReader(data))
-		if err != nil {
-			return false, fmt.Errorf("store: handoff of %v: %w", k, err)
-		}
-		if vst.Source() != k.Source {
-			return false, fmt.Errorf("store: handoff of %v: record has source %d", k, vst.Source())
-		}
-		vst.Plan()
-	} else {
-		st, err = ftbfs.LoadStructure(g, bytes.NewReader(data))
-		if err != nil {
-			return false, fmt.Errorf("store: handoff of %v: %w", k, err)
-		}
-		if st.Source() != k.Source || st.Epsilon() != k.Eps {
-			return false, fmt.Errorf("store: handoff of %v: record is (source=%d, eps=%g)", k, st.Source(), st.Epsilon())
-		}
-		st.Plan()
+	st, err := decodeRecord(g, k, data)
+	if err != nil {
+		return false, fmt.Errorf("store: handoff of %v: %w", k, err)
 	}
+	st.Plan()
 	s.mu.Lock()
 	if _, resident = s.entries[k]; resident {
 		// Lost a race with a concurrent build/load; keep the resident one.
 		s.mu.Unlock()
 		return false, nil
 	}
-	s.insertLocked(k, st, vst)
+	s.insertLocked(k, st)
 	s.m.handoffsIn.Inc()
 	s.mu.Unlock()
 	if dir != "" {

@@ -58,8 +58,7 @@ func (s *Store) Mutate(ctx context.Context, lineage uint64, muts []ftbfs.Mutatio
 
 	type resident struct {
 		key Key
-		st  *ftbfs.Structure
-		vst *ftbfs.VertexStructure
+		st  structure
 	}
 	s.mu.Lock()
 	g, ok := s.graphs[lineage]
@@ -70,7 +69,7 @@ func (s *Store) Mutate(ctx context.Context, lineage uint64, muts []ftbfs.Mutatio
 	var snap []resident
 	for k, e := range s.entries {
 		if k.Graph == lineage {
-			snap = append(snap, resident{key: k, st: e.st, vst: e.vst})
+			snap = append(snap, resident{key: k, st: e.st})
 		}
 	}
 	dir := s.dir
@@ -99,10 +98,10 @@ func (s *Store) Mutate(ctx context.Context, lineage uint64, muts []ftbfs.Mutatio
 			}
 			vst.Plan()
 			res.RebuildsFull++
-			rebuilt = append(rebuilt, resident{key: nk, vst: vst})
+			rebuilt = append(rebuilt, resident{key: nk, st: vst})
 			continue
 		}
-		if st, ok := ftbfs.DeltaRebuild(r.st, newG, delta); ok {
+		if st, ok := ftbfs.DeltaRebuild(r.st.(*ftbfs.Structure), newG, delta); ok {
 			res.RebuildsDelta++
 			rebuilt = append(rebuilt, resident{key: nk, st: st})
 			continue
@@ -136,11 +135,7 @@ func (s *Store) Mutate(ctx context.Context, lineage uint64, muts []ftbfs.Mutatio
 		}
 		for _, r := range rebuilt {
 			p := s.structPath(r.key)
-			save := r.st.SaveSlab
-			if r.key.Model == ModelVertex {
-				save = r.vst.SaveSlab
-			}
-			if err := s.writeAtomic(p, save); err != nil {
+			if err := s.writeAtomic(p, r.st.SaveSlab); err != nil {
 				return fail(fmt.Errorf("%v: %w", r.key, err))
 			}
 			written = append(written, p)
@@ -166,7 +161,7 @@ func (s *Store) Mutate(ctx context.Context, lineage uint64, muts []ftbfs.Mutatio
 		}
 	}
 	for _, r := range rebuilt {
-		s.insertLocked(r.key, r.st, r.vst)
+		s.insertLocked(r.key, r.st)
 	}
 	s.mu.Unlock()
 	s.m.swapDur.Observe(time.Since(swapStart))

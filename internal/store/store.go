@@ -180,19 +180,26 @@ type PersistError struct{ Err error }
 func (e *PersistError) Error() string { return PersistPrefix + e.Err.Error() }
 func (e *PersistError) Unwrap() error { return e.Err }
 
-type entry struct {
-	key Key
-	st  *ftbfs.Structure       // resident edge structure (ModelEdge keys)
-	vst *ftbfs.VertexStructure // resident vertex structure (ModelVertex keys)
-	el  *list.Element          // position in Store.lru; value is *entry
+// structure is a registered structure of either failure model: a
+// *ftbfs.Structure under a ModelEdge key, a *ftbfs.VertexStructure under a
+// ModelVertex key. Both serve through the same QueryPlan and OraclePool, so
+// the registry needs nothing model-specific from them.
+type structure interface {
+	Plan() *ftbfs.QueryPlan
+	SaveSlab(io.Writer) error
 }
 
-// flight is an in-progress load-or-build shared by concurrent requesters.
-// Exactly one of st/vst is set on success, matching the key's model.
+type entry struct {
+	key Key
+	st  structure
+	el  *list.Element // position in Store.lru; value is *entry
+}
+
+// flight is an in-progress load-or-build shared by concurrent requesters;
+// st is set on success.
 type flight struct {
 	done chan struct{}
-	st   *ftbfs.Structure
-	vst  *ftbfs.VertexStructure
+	st   structure
 	err  error
 }
 
@@ -488,36 +495,40 @@ func (s *Store) Graphs() []uint64 {
 	return out
 }
 
+// resident returns the in-memory structure of k, or nil, counting a hit and
+// touching its LRU position when there is one. It never loads or builds.
+func (s *Store) resident(k Key) structure {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.entries[s.normLocked(k)]
+	if !ok {
+		return nil
+	}
+	s.m.hits.Inc()
+	s.lru.MoveToFront(e.el)
+	return e.st
+}
+
 // Get returns the edge structure for k if it is resident in memory,
 // touching its LRU position. It never loads or builds; use GetOrBuild for
 // read-through. Vertex keys miss here by definition — use GetVertex.
 func (s *Store) Get(k Key) (*ftbfs.Structure, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[s.normLocked(k)]
-	if !ok || e.st == nil {
+	st, ok := s.resident(k).(*ftbfs.Structure)
+	if !ok {
 		s.m.misses.Inc()
-		return nil, false
 	}
-	s.m.hits.Inc()
-	s.lru.MoveToFront(e.el)
-	return e.st, true
+	return st, ok
 }
 
 // GetVertex returns the vertex structure of (fp, source) if it is resident
 // in memory, touching its LRU position. It never loads or builds; use
 // GetOrBuildVertex for read-through.
 func (s *Store) GetVertex(fp uint64, source int) (*ftbfs.VertexStructure, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[s.normLocked(VertexKey(fp, source))]
-	if !ok || e.vst == nil {
+	st, ok := s.resident(VertexKey(fp, source)).(*ftbfs.VertexStructure)
+	if !ok {
 		s.m.misses.Inc()
-		return nil, false
 	}
-	s.m.hits.Inc()
-	s.lru.MoveToFront(e.el)
-	return e.vst, true
+	return st, ok
 }
 
 // Len returns the number of structures resident in memory.
@@ -573,27 +584,41 @@ func (s *Store) GetOrBuild(ctx context.Context, k Key) (*ftbfs.Structure, error)
 	if k.Model != ModelEdge {
 		return nil, fmt.Errorf("store: %v is not an edge-structure key (use GetOrBuildVertex)", k)
 	}
-	s.mu.Lock()
-	if e, ok := s.entries[s.normLocked(k)]; ok {
-		s.m.hits.Inc()
-		s.lru.MoveToFront(e.el)
-		s.mu.Unlock()
-		return e.st, nil
+	if st, ok := s.resident(k).(*ftbfs.Structure); ok {
+		return st, nil
 	}
-	s.mu.Unlock()
-	sts, err := s.GetOrBuildMany(ctx, k.Graph, []Req{{Source: k.Source, Eps: k.Eps, Alg: k.Alg}})
+	sts, err := s.getOrBuild(ctx, k.Graph, []Key{k})
 	if err != nil {
 		return nil, err
 	}
-	return sts[0], nil
+	return sts[0].(*ftbfs.Structure), nil
 }
 
-// GetOrBuildMany resolves a batch of requests against one registered graph.
-// Cached structures are served from memory; the remaining misses are first
-// tried against the persist directory and whatever is still missing is built
-// in a single ftbfs.BuildBatch call, so requests sharing a source share the
-// BFS tree, the replacement-path preprocessing and the reinforcement sweep.
-// Results are returned in request order.
+// GetOrBuildVertex returns the vertex-failure structure of (fp, source),
+// loading it from the persist directory or building it through
+// ftbfs.BuildVertex on a miss, through the same single-flight miss path as
+// GetOrBuild (the Key's Model dimension keeps the two namespaces apart). A
+// built structure is persisted next to the edge files under its own "stv-"
+// prefix. A resident structure is returned on an allocation-free fast
+// path; ctx follows the same budget rules as GetOrBuildMany.
+func (s *Store) GetOrBuildVertex(ctx context.Context, fp uint64, source int) (*ftbfs.VertexStructure, error) {
+	k := VertexKey(fp, source)
+	if st, ok := s.resident(k).(*ftbfs.VertexStructure); ok {
+		return st, nil
+	}
+	sts, err := s.getOrBuild(ctx, fp, []Key{k})
+	if err != nil {
+		return nil, err
+	}
+	return sts[0].(*ftbfs.VertexStructure), nil
+}
+
+// GetOrBuildMany resolves a batch of edge-structure requests against one
+// registered graph. Cached structures are served from memory; the remaining
+// misses are first tried against the persist directory and whatever is
+// still missing is built in a single ftbfs.BuildBatch call, so requests
+// sharing a source share the BFS tree, the replacement-path preprocessing
+// and the reinforcement sweep. Results are returned in request order.
 //
 // ctx carries the caller's deadline budget. It is checked before any work
 // starts and again while waiting on another call's in-flight build; a build
@@ -601,18 +626,40 @@ func (s *Store) GetOrBuild(ctx context.Context, k Key) (*ftbfs.Structure, error)
 // and the result is cached for the retry), so expiry mid-build costs at most
 // one build beyond the budget — never a wrong or partial answer.
 func (s *Store) GetOrBuildMany(ctx context.Context, fp uint64, reqs []Req) ([]*ftbfs.Structure, error) {
-	if len(reqs) == 0 {
+	keys := make([]Key, len(reqs))
+	for i, r := range reqs {
+		keys[i] = Key{Graph: fp, Source: r.Source, Eps: r.Eps, Alg: r.Alg}
+	}
+	sts, err := s.getOrBuild(ctx, fp, keys)
+	if err != nil || sts == nil {
+		return nil, err
+	}
+	out := make([]*ftbfs.Structure, len(sts))
+	for i, st := range sts {
+		out[i] = st.(*ftbfs.Structure)
+	}
+	return out, nil
+}
+
+// getOrBuild is the one miss path of the registry behind GetOrBuild,
+// GetOrBuildVertex and GetOrBuildMany: it resolves keys of graph fp, of
+// either failure model, against the serving generation (their Gen is
+// ignored), as GetOrBuildMany describes. Concurrent calls share each key's
+// load or build through the single-flight map. Results are returned in key
+// order.
+func (s *Store) getOrBuild(ctx context.Context, fp uint64, keys []Key) ([]structure, error) {
+	if len(keys) == 0 {
 		return nil, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	for _, r := range reqs {
+	for _, k := range keys {
 		// NaN never compares equal, so a NaN-eps Key would be inserted into
 		// the inflight map and never found again (nil-deref on the
 		// re-lookup, plus a permanent map leak). Inf is equally meaningless.
-		if math.IsNaN(r.Eps) || math.IsInf(r.Eps, 0) {
-			return nil, fmt.Errorf("store: eps must be finite, got %v", r.Eps)
+		if math.IsNaN(k.Eps) || math.IsInf(k.Eps, 0) {
+			return nil, fmt.Errorf("store: eps must be finite, got %v", k.Eps)
 		}
 	}
 	s.mu.Lock()
@@ -622,13 +669,13 @@ func (s *Store) GetOrBuildMany(ctx context.Context, fp uint64, reqs []Req) ([]*f
 		return nil, fmt.Errorf("store: unknown graph %016x (register it with AddGraph or /build first)", fp)
 	}
 	gen := s.gens[fp] // resolve the batch against one serving generation
-	out := make([]*ftbfs.Structure, len(reqs))
+	out := make([]structure, len(keys))
 	var mine []Key // keys this call is responsible for resolving
 	mineIdx := make(map[Key][]int)
 	var waits []*flight // flights owned by other calls
 	waitIdx := make(map[*flight][]int)
-	for i, r := range reqs {
-		k := Key{Graph: fp, Source: r.Source, Eps: r.Eps, Alg: r.Alg, Gen: gen}
+	for i, k := range keys {
+		k.Gen = gen
 		if e, ok := s.entries[k]; ok {
 			s.m.hits.Inc()
 			s.lru.MoveToFront(e.el)
@@ -672,7 +719,7 @@ func (s *Store) GetOrBuildMany(ctx context.Context, fp uint64, reqs []Req) ([]*f
 			// and the loaded/built structure must not be thrown away.
 			if st := resolved[k]; st != nil {
 				fl.st = st
-				s.insertLocked(k, st, nil)
+				s.insertLocked(k, st)
 				for _, i := range mineIdx[k] {
 					out[i] = st
 				}
@@ -712,165 +759,78 @@ func (s *Store) GetOrBuildMany(ctx context.Context, fp uint64, reqs []Req) ([]*f
 	return out, nil
 }
 
-// GetOrBuildVertex returns the vertex-failure structure of (fp, source),
-// loading it from the persist directory or building it through
-// ftbfs.BuildVertex on a miss. Concurrent calls for the same key share one
-// load/build via the same single-flight map the edge path uses (the Key's
-// Model dimension keeps the two namespaces apart), a built structure is
-// persisted next to the edge files under its own "stv-" prefix, and — like
-// every structure entering the registry — it is handed out with its query
-// plan pre-built. A resident structure is returned on an allocation-free
-// fast path. ctx follows the same budget rules as GetOrBuildMany.
-func (s *Store) GetOrBuildVertex(ctx context.Context, fp uint64, source int) (*ftbfs.VertexStructure, error) {
-	s.mu.Lock()
-	k := s.normLocked(VertexKey(fp, source))
-	if e, ok := s.entries[k]; ok {
-		s.m.hits.Inc()
-		s.lru.MoveToFront(e.el)
-		s.mu.Unlock()
-		return e.vst, nil
-	}
-	s.m.misses.Inc()
-	g, ok := s.graphs[fp]
-	if !ok {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("store: unknown graph %016x (register it with AddGraph or /build first)", fp)
-	}
-	if err := ctx.Err(); err != nil {
-		s.mu.Unlock()
-		return nil, err
-	}
-	if fl, ok := s.inflight[k]; ok {
-		s.mu.Unlock()
-		select {
-		case <-fl.done:
-			return fl.vst, fl.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	fl := &flight{done: make(chan struct{})}
-	s.inflight[k] = fl
-	s.mu.Unlock()
-
-	resolveStart := time.Now()
-	vst, err := s.resolveVertex(g, k, source)
-	if tr := telemetry.TraceFrom(ctx); tr != nil {
-		tr.Add("store.resolve", resolveStart)
-	}
-	s.mu.Lock()
-	delete(s.inflight, k)
-	if vst != nil {
-		fl.vst = vst
-		s.insertLocked(k, nil, vst)
-	} else {
-		fl.err = err
-	}
-	s.mu.Unlock()
-	close(fl.done)
-	if vst != nil {
-		// A persist fault (err != nil with a built structure) is surfaced to
-		// this caller only; waiters got the structure they asked for.
-		return vst, err
-	}
-	return nil, err
-}
-
-// resolveVertex loads or builds one vertex structure, pre-building its
-// query plan; a build is persisted when the store has a directory, with
-// disk faults reported as PersistError alongside the usable structure.
-func (s *Store) resolveVertex(g *ftbfs.Graph, k Key, source int) (*ftbfs.VertexStructure, error) {
-	s.mu.Lock()
-	dir := s.dir
-	s.mu.Unlock()
-	if dir != "" {
-		loadStart := time.Now()
-		if data, err := s.readFile(s.structPath(k)); err == nil {
-			vst, lerr := ftbfs.LoadVertexStructure(g, bytes.NewReader(data))
-			if lerr == nil && vst.Source() == source {
-				s.m.loads.Inc()
-				s.m.loadDur.Observe(time.Since(loadStart))
-				vst.Plan()
-				return vst, nil
-			}
-			// Unreadable or mismatched file: fall through to a rebuild that
-			// overwrites it.
-		}
-	}
-	buildStart := time.Now()
-	vst, err := ftbfs.BuildVertex(g, source)
-	if err != nil {
-		return nil, fmt.Errorf("store: vertex build: %w", err)
-	}
-	s.m.builds.Inc()
-	s.m.buildDur.Observe(time.Since(buildStart))
-	vst.Plan()
-	if dir != "" {
-		if err := s.writeAtomic(s.structPath(k), vst.SaveSlab); err != nil {
-			return vst, &PersistError{Err: fmt.Errorf("%v: %w", k, err)}
-		}
-		s.m.saves.Inc()
-	}
-	return vst, nil
-}
-
 // resolve loads or builds the structures for keys (all on graph g), returning
 // them keyed. Load failures fall through to a rebuild; the rebuilt structure
 // overwrites the unreadable file. Every structure entering the registry is
-// handed out with its query plan already built (Structure.Plan), so the
-// first failure query a freshly built or loaded structure serves never pays
-// the plan extraction inline.
-func (s *Store) resolve(g *ftbfs.Graph, keys []Key) (resolved map[Key]*ftbfs.Structure, err error) {
+// handed out with its query plan already built (Plan), so the first failure
+// query a freshly built or loaded structure serves never pays the plan
+// extraction inline.
+func (s *Store) resolve(g *ftbfs.Graph, keys []Key) (resolved map[Key]structure, err error) {
 	defer func() {
 		for _, st := range resolved {
 			st.Plan()
 		}
 	}()
-	resolved = make(map[Key]*ftbfs.Structure, len(keys))
-	var toBuild []Key
+	resolved = make(map[Key]structure, len(keys))
+	var built, edgeKeys []Key
 	for _, k := range keys {
 		if st := s.loadFromDir(k, g); st != nil {
 			resolved[k] = st
 			continue
 		}
-		toBuild = append(toBuild, k)
-	}
-	if len(toBuild) == 0 {
-		return resolved, nil
-	}
-	breqs := make([]ftbfs.BatchRequest, len(toBuild))
-	for i, k := range toBuild {
-		breqs[i] = ftbfs.BatchRequest{
-			Source:  k.Source,
-			Eps:     k.Eps,
-			Options: []ftbfs.BuildOption{ftbfs.WithAlgorithm(k.Alg)},
+		if k.Model == ModelEdge {
+			edgeKeys = append(edgeKeys, k)
+			continue
 		}
+		buildStart := time.Now()
+		vst, err := ftbfs.BuildVertex(g, k.Source)
+		if err != nil {
+			return resolved, fmt.Errorf("store: vertex build: %w", err)
+		}
+		s.m.builds.Inc()
+		s.m.buildDur.Observe(time.Since(buildStart))
+		resolved[k] = vst
+		built = append(built, k)
 	}
-	buildStart := time.Now()
-	sts, err := ftbfs.BuildBatch(g, breqs)
-	if err != nil {
-		return resolved, fmt.Errorf("store: build: %w", err)
+	if len(edgeKeys) > 0 {
+		breqs := make([]ftbfs.BatchRequest, len(edgeKeys))
+		for i, k := range edgeKeys {
+			breqs[i] = ftbfs.BatchRequest{
+				Source:  k.Source,
+				Eps:     k.Eps,
+				Options: []ftbfs.BuildOption{ftbfs.WithAlgorithm(k.Alg)},
+			}
+		}
+		buildStart := time.Now()
+		sts, err := ftbfs.BuildBatch(g, breqs)
+		if err != nil {
+			return resolved, fmt.Errorf("store: build: %w", err)
+		}
+		s.m.builds.Add(uint64(len(edgeKeys)))
+		s.m.buildDur.Observe(time.Since(buildStart))
+		for i, k := range edgeKeys {
+			resolved[k] = sts[i]
+		}
+		built = append(built, edgeKeys...)
 	}
-	s.m.builds.Add(uint64(len(toBuild)))
-	s.m.buildDur.Observe(time.Since(buildStart))
 	s.mu.Lock()
 	dir := s.dir
 	s.mu.Unlock()
+	if dir == "" {
+		return resolved, nil
+	}
 	var persistErr error
-	for i, k := range toBuild {
-		resolved[k] = sts[i]
-		if dir != "" {
-			if err := s.writeAtomic(s.structPath(k), sts[i].SaveSlab); err != nil {
-				// The builds succeeded — keep serving every one of them from
-				// memory, keep persisting the rest, and surface the first
-				// disk fault to the caller.
-				if persistErr == nil {
-					persistErr = &PersistError{Err: fmt.Errorf("%v: %w", k, err)}
-				}
-				continue
+	for _, k := range built {
+		if err := s.writeAtomic(s.structPath(k), resolved[k].SaveSlab); err != nil {
+			// The builds succeeded — keep serving every one of them from
+			// memory, keep persisting the rest, and surface the first
+			// disk fault to the caller.
+			if persistErr == nil {
+				persistErr = &PersistError{Err: fmt.Errorf("%v: %w", k, err)}
 			}
-			s.m.saves.Inc()
+			continue
 		}
+		s.m.saves.Inc()
 	}
 	return resolved, persistErr
 }
@@ -878,7 +838,7 @@ func (s *Store) resolve(g *ftbfs.Graph, keys []Key) (resolved map[Key]*ftbfs.Str
 // loadFromDir loads the persisted structure for k, or nil when the store is
 // memory-only, the file is absent, or it fails to decode (the caller then
 // rebuilds and overwrites it).
-func (s *Store) loadFromDir(k Key, g *ftbfs.Graph) *ftbfs.Structure {
+func (s *Store) loadFromDir(k Key, g *ftbfs.Graph) structure {
 	s.mu.Lock()
 	dir := s.dir
 	s.mu.Unlock()
@@ -890,8 +850,8 @@ func (s *Store) loadFromDir(k Key, g *ftbfs.Graph) *ftbfs.Structure {
 	if err != nil {
 		return nil
 	}
-	st, err := ftbfs.LoadStructure(g, bytes.NewReader(data))
-	if err != nil || st.Source() != k.Source || st.Epsilon() != k.Eps {
+	st, err := decodeRecord(g, k, data)
+	if err != nil {
 		return nil
 	}
 	s.m.loads.Inc()
@@ -899,9 +859,33 @@ func (s *Store) loadFromDir(k Key, g *ftbfs.Graph) *ftbfs.Structure {
 	return st
 }
 
+// decodeRecord loads a structure record — binary slab or text, either
+// failure model — for key k against graph g, and checks that it is the
+// structure k names.
+func decodeRecord(g *ftbfs.Graph, k Key, data []byte) (structure, error) {
+	if k.Model == ModelVertex {
+		vst, err := ftbfs.LoadVertexStructure(g, bytes.NewReader(data))
+		if err != nil {
+			return nil, err
+		}
+		if vst.Source() != k.Source {
+			return nil, fmt.Errorf("record has source %d", vst.Source())
+		}
+		return vst, nil
+	}
+	st, err := ftbfs.LoadStructure(g, bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	if st.Source() != k.Source || st.Epsilon() != k.Eps {
+		return nil, fmt.Errorf("record is (source=%d, eps=%g)", st.Source(), st.Epsilon())
+	}
+	return st, nil
+}
+
 // insertLocked adds a resolved structure (edge or vertex, matching the
 // key's model) and evicts down to capacity. s.mu must be held.
-func (s *Store) insertLocked(k Key, st *ftbfs.Structure, vst *ftbfs.VertexStructure) {
+func (s *Store) insertLocked(k Key, st structure) {
 	if gen, ok := s.gens[k.Graph]; ok && k.Gen != gen {
 		// A load/build that resolved against a generation a concurrent
 		// Mutate swapped out while it ran: nothing will ever look this key
@@ -912,7 +896,7 @@ func (s *Store) insertLocked(k Key, st *ftbfs.Structure, vst *ftbfs.VertexStruct
 		s.lru.MoveToFront(e.el)
 		return
 	}
-	e := &entry{key: k, st: st, vst: vst}
+	e := &entry{key: k, st: st}
 	e.el = s.lru.PushFront(e)
 	s.entries[k] = e
 	for s.capacity > 0 && len(s.entries) > s.capacity {

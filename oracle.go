@@ -3,35 +3,85 @@ package ftbfs
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"ftbfs/internal/bfs"
 	"ftbfs/internal/graph"
 )
 
-// Oracle answers distance queries inside a structure under simulated
-// single-edge failures — the operational view of the FT-BFS guarantee.
-// Failure queries run against the structure's QueryPlan: non-tree-edge
-// failures are O(1) lookups of the cached intact vector, tree-edge failures
-// repair only the failed subtree; DistAvoidingRef keeps the original
-// full-BFS search as the reference implementation.
+// serving is the query side every structure shares, whatever its failure
+// model: H inside its base graph, plus the intact distance vector, query
+// plan and oracle pool built from it on first use. Structure and
+// VertexStructure embed it, so Dist, Plan, Oracle and OraclePool have one
+// implementation; the model survives only as the vertex flag, which decides
+// what a failure is and which failures are valid.
+type serving struct {
+	g          *graph.Graph
+	src        int
+	edges      *graph.EdgeSet // E(H)
+	reinforced *graph.EdgeSet // fail-proof edges; nil in the vertex model
+	vertex     bool           // single failed vertices instead of single failed edges
+
+	intactOnce sync.Once
+	intactDist []int32 // cached dist(s, ·) in the intact H; see intactDistances
+
+	planOnce sync.Once
+	qplan    *QueryPlan // cached serving plan; see Plan
+
+	poolOnce sync.Once
+	pool     *OraclePool
+}
+
+// intactDistances returns the distance vector of the intact structure H,
+// computing it on the first call. Structures are immutable once built, so the
+// cache is never invalidated; the vector is shared read-only by every Oracle
+// of the structure and by its query plan.
+func (s *serving) intactDistances() []int32 {
+	s.intactOnce.Do(func() {
+		sc := bfs.NewScratch(s.g.N())
+		s.intactDist = sc.DistancesAvoiding(s.g, s.src,
+			bfs.Restriction{BannedEdge: graph.NoEdge, AllowedEdges: s.edges},
+			make([]int32, s.g.N()))
+	})
+	return s.intactDist
+}
+
+// Dist returns dist(source, v) inside the intact structure H. The vector is
+// computed once on first use and cached forever (structures are immutable
+// once built); the method is safe for concurrent use.
+func (s *serving) Dist(v int) int {
+	return int(s.intactDistances()[v])
+}
+
+// Oracle answers distance queries inside a structure under one simulated
+// failure — the operational view of the FT-BFS guarantee. An edge
+// structure's oracle takes failed edges (DistAvoiding), a vertex
+// structure's takes failed vertices (DistAvoidingVertex); a failure of the
+// other model is rejected. Failure queries run against the structure's
+// QueryPlan: a failure off the target's tree path is an O(1) lookup of the
+// cached intact vector, any other failure repairs only the affected
+// subtree. DistAvoidingRef and DistAvoidingVertexRef keep the full-BFS
+// search as the reference implementation.
 // An Oracle is not safe for concurrent use; create one per goroutine or
 // check oracles out of an OraclePool.
 type Oracle struct {
-	st      *Structure
+	s       *serving
 	plan    *QueryPlan
-	scratch *bfs.Scratch
-	dist    []int32
+	scratch *bfs.Scratch     // reference and baseline searches
+	dist    []int32          // reference and baseline searches
+	banned  *graph.VertexSet // reference and baseline searches, vertex model
 
-	// Subtree-repair state: the scratch is allocated on the first tree-edge
-	// failure and then recycled (pooled oracles carry it across requests);
-	// repairedID names the failed edge whose repair it currently holds, so
-	// repeated failures of one edge — including a whole grouped batch —
-	// answer from a single repair run.
-	repair     *bfs.Repair
-	repairedID graph.EdgeID
+	// Subtree-repair state: the scratch is allocated on the first failure
+	// that needs a repair and then recycled (pooled oracles carry it across
+	// requests); repaired names the failure whose repair it currently
+	// holds, so repeated queries of one failure — including a whole grouped
+	// batch — answer from a single repair run.
+	repair   *bfs.Repair
+	repaired int32
 
-	// DistAvoidingMany scratch, reused across batches.
-	ids []graph.EdgeID
+	// Batch scratch, reused across batches: each query's failure, and the
+	// valid queries' indexes in answering order.
+	ids []int32
 	ord []int32
 
 	// Plan-path accounting, plain counters because an oracle is
@@ -42,66 +92,88 @@ type Oracle struct {
 }
 
 // Oracle returns a failure-simulation oracle for the structure.
-func (s *Structure) Oracle() *Oracle {
-	return &Oracle{
-		st:         s,
-		plan:       s.Plan(),
-		scratch:    bfs.NewScratch(s.st.G.N()),
-		dist:       make([]int32, s.st.G.N()),
-		repairedID: graph.NoEdge,
+func (s *serving) Oracle() *Oracle {
+	o := &Oracle{
+		s:        s,
+		plan:     s.Plan(),
+		scratch:  bfs.NewScratch(s.g.N()),
+		dist:     make([]int32, s.g.N()),
+		repaired: -1,
 	}
+	if s.vertex {
+		o.banned = graph.NewVertexSet(s.g.N())
+	}
+	return o
 }
 
 // Unreachable is returned by distance queries for unreachable vertices.
 const Unreachable = int(bfs.Unreachable)
 
-// intactDistances returns the distance vector of the intact structure H,
-// computing it on the first call. Structures are immutable once built, so the
-// cache is never invalidated; the vector is shared read-only by every Oracle
-// of the structure.
-func (s *Structure) intactDistances() []int32 {
-	s.intactOnce.Do(func() {
-		sc := bfs.NewScratch(s.st.G.N())
-		s.intactDist = sc.DistancesAvoiding(s.st.G, s.st.S,
-			bfs.Restriction{BannedEdge: graph.NoEdge, AllowedEdges: s.st.Edges},
-			make([]int32, s.st.G.N()))
-	})
-	return s.intactDist
-}
-
-// Dist returns dist(source, v) inside the intact structure H. The vector is
-// computed once on first use and cached forever (structures are immutable
-// once built); the method is safe for concurrent use.
-func (s *Structure) Dist(v int) int {
-	return int(s.intactDistances()[v])
-}
-
 // Dist returns dist(source, v) inside the intact structure H; it reads the
 // structure's shared cached vector, so repeated calls are O(1) lookups.
-func (o *Oracle) Dist(v int) int { return o.st.Dist(v) }
+func (o *Oracle) Dist(v int) int { return o.s.Dist(v) }
 
-// failureEdge validates a failed edge for simulation: it must exist in the
-// base graph and must not be reinforced (reinforced edges cannot fail by
-// contract).
-func (o *Oracle) failureEdge(failedU, failedV int) (graph.EdgeID, error) {
-	id := o.st.st.G.EdgeIDOf(failedU, failedV)
+// FailureQuery is one failure query: the target vertex V and the simulated
+// failure — the edge {FailedU, FailedV}, or, when Vertex is set, the vertex
+// FailedU (FailedV is then ignored). It is the unit of DistAvoidingQuery,
+// DistAvoidingMany and DistAvoidingEach for both failure models.
+type FailureQuery struct {
+	V       int
+	FailedU int
+	FailedV int
+	Vertex  bool
+}
+
+// modelName names a failure model in error messages.
+func modelName(vertex bool) string {
+	if vertex {
+		return "vertex"
+	}
+	return "edge"
+}
+
+// failure validates q against the structure and returns its failure in the
+// plan's terms: the failed EdgeID in the edge model, the failed vertex in
+// the vertex model. The target must be a vertex of the graph, the failure
+// must belong to the structure's model, and it must be able to fail: the
+// source never can, and in H (inH) a reinforced edge cannot either — the
+// baseline over all of G lifts only that last rule.
+func (o *Oracle) failure(q FailureQuery, inH bool) (int32, error) {
+	n := o.s.g.N()
+	if q.V < 0 || q.V >= n {
+		return -1, fmt.Errorf("ftbfs: vertex %d out of range [0,%d)", q.V, n)
+	}
+	if q.Vertex != o.s.vertex {
+		return -1, fmt.Errorf("ftbfs: %s failure on a %s-failure structure", modelName(q.Vertex), modelName(o.s.vertex))
+	}
+	if q.Vertex {
+		w := q.FailedU
+		if w < 0 || w >= n {
+			return -1, fmt.Errorf("ftbfs: failed vertex %d out of range [0,%d)", w, n)
+		}
+		if w == o.s.src {
+			return -1, fmt.Errorf("ftbfs: the source %d cannot fail", w)
+		}
+		return int32(w), nil
+	}
+	id := o.s.g.EdgeIDOf(q.FailedU, q.FailedV)
 	if id == graph.NoEdge {
-		return graph.NoEdge, fmt.Errorf("ftbfs: {%d,%d} is not an edge of the base graph", failedU, failedV)
+		return -1, fmt.Errorf("ftbfs: {%d,%d} is not an edge of the base graph", q.FailedU, q.FailedV)
 	}
-	if o.st.st.Reinforced.Contains(id) {
-		return graph.NoEdge, fmt.Errorf("ftbfs: {%d,%d} is reinforced and cannot fail", failedU, failedV)
+	if inH && o.s.reinforced.Contains(id) {
+		return -1, fmt.Errorf("ftbfs: {%d,%d} is reinforced and cannot fail", q.FailedU, q.FailedV)
 	}
-	return id, nil
+	return int32(id), nil
 }
 
 // planDist answers one validated failure query through the query plan,
 // keeping the oracle's repair scratch in sync.
-func (o *Oracle) planDist(v int, id graph.EdgeID) int32 {
+func (o *Oracle) planDist(v int, f int32) int32 {
 	if o.repair == nil {
-		o.repair = bfs.NewRepair(o.st.st.G.N())
+		o.repair = bfs.NewRepair(o.s.g.N())
 	}
-	d, repaired, viaRepair := o.plan.dist(v, id, o.repair, o.repairedID)
-	o.repairedID = repaired
+	d, repaired, viaRepair := o.plan.dist(v, f, o.repair, o.repaired)
+	o.repaired = repaired
 	if viaRepair {
 		o.planRepairs++
 	} else {
@@ -110,19 +182,34 @@ func (o *Oracle) planDist(v int, id graph.EdgeID) int32 {
 	return d
 }
 
-// DistAvoiding returns dist(source, v) in H \ {failedU, failedV}. Failing a
-// reinforced edge is rejected — reinforced edges cannot fail by contract.
+// DistAvoidingQuery returns dist(source, q.V) in H minus q's failure. A
+// failure the structure's model does not tolerate is rejected: a reinforced
+// edge, the source vertex, or a failure of the other model.
 //
-// The answer comes from the structure's QueryPlan: O(1) when the failed
-// edge is not a tree edge of H's BFS tree (the intact distances survive),
-// and a subtree-local repair search otherwise. It always equals what the
-// full-search DistAvoidingRef returns.
-func (o *Oracle) DistAvoiding(v, failedU, failedV int) (int, error) {
-	id, err := o.failureEdge(failedU, failedV)
+// The answer comes from the structure's QueryPlan: O(1) when the failure is
+// off the target's tree path in H's BFS tree (the intact distance
+// survives), and a subtree-local repair search otherwise. It always equals
+// what the full-search reference returns.
+func (o *Oracle) DistAvoidingQuery(q FailureQuery) (int, error) {
+	f, err := o.failure(q, true)
 	if err != nil {
 		return 0, err
 	}
-	return int(o.planDist(v, id)), nil
+	return int(o.planDist(q.V, f)), nil
+}
+
+// DistAvoiding returns dist(source, v) in H \ {failedU, failedV}, the edge
+// model's DistAvoidingQuery. Failing a reinforced edge is rejected —
+// reinforced edges cannot fail by contract.
+func (o *Oracle) DistAvoiding(v, failedU, failedV int) (int, error) {
+	return o.DistAvoidingQuery(FailureQuery{V: v, FailedU: failedU, FailedV: failedV})
+}
+
+// DistAvoidingVertex returns dist(source, v) in H \ {w}, the vertex model's
+// DistAvoidingQuery. Failing the source is rejected; querying the failed
+// vertex itself answers Unreachable.
+func (o *Oracle) DistAvoidingVertex(v, w int) (int, error) {
+	return o.DistAvoidingQuery(FailureQuery{V: v, FailedU: w, Vertex: true})
 }
 
 // DistAvoidingRef is the reference implementation of DistAvoiding: a full
@@ -130,31 +217,60 @@ func (o *Oracle) DistAvoiding(v, failedU, failedV int) (int, error) {
 // is what the plan-backed fast path is differential-tested against; prefer
 // DistAvoiding everywhere else.
 func (o *Oracle) DistAvoidingRef(v, failedU, failedV int) (int, error) {
-	id, err := o.failureEdge(failedU, failedV)
+	return o.search(FailureQuery{V: v, FailedU: failedU, FailedV: failedV}, true)
+}
+
+// DistAvoidingVertexRef is the reference implementation of
+// DistAvoidingVertex: a full restricted BFS over the base graph with w
+// banned, rejecting non-H arcs one by one.
+func (o *Oracle) DistAvoidingVertexRef(v, w int) (int, error) {
+	return o.search(FailureQuery{V: v, FailedU: w, Vertex: true}, true)
+}
+
+// BaselineDistAvoiding returns dist(source, v) in the full graph G minus
+// the failed edge — the yardstick the FT-BFS contract compares against.
+func (o *Oracle) BaselineDistAvoiding(v, failedU, failedV int) (int, error) {
+	return o.search(FailureQuery{V: v, FailedU: failedU, FailedV: failedV}, false)
+}
+
+// BaselineDistAvoidingVertex returns dist(source, v) in the full graph G
+// minus the failed vertex — the yardstick the vertex FT-BFS contract
+// compares against.
+func (o *Oracle) BaselineDistAvoidingVertex(v, w int) (int, error) {
+	return o.search(FailureQuery{V: v, FailedU: w, Vertex: true}, false)
+}
+
+// search answers q with a full restricted BFS over the base graph: through
+// H's edges only when inH (the reference), over all of G otherwise (the
+// baseline).
+func (o *Oracle) search(q FailureQuery, inH bool) (int, error) {
+	f, err := o.failure(q, inH)
 	if err != nil {
 		return 0, err
 	}
-	o.scratch.DistancesAvoiding(o.st.st.G, o.st.st.S,
-		bfs.Restriction{BannedEdge: id, AllowedEdges: o.st.st.Edges}, o.dist)
-	return int(o.dist[v]), nil
+	r := bfs.Restriction{BannedEdge: graph.NoEdge}
+	if inH {
+		r.AllowedEdges = o.s.edges
+	}
+	if q.Vertex {
+		o.banned.Clear()
+		o.banned.Add(f)
+		r.BannedVertices = o.banned
+	} else {
+		r.BannedEdge = graph.EdgeID(f)
+	}
+	o.scratch.DistancesAvoiding(o.s.g, o.s.src, r, o.dist)
+	return int(o.dist[q.V]), nil
 }
 
-// FailureQuery is one entry of a DistAvoidingMany batch: the target vertex
-// and the endpoints of the simulated failed edge.
-type FailureQuery struct {
-	V       int
-	FailedU int
-	FailedV int
-}
-
-// DistAvoidingMany answers a vector of (target, failed-edge) queries.
-// The whole batch is validated up front — an invalid query (out-of-range
-// target, non-edge, or reinforced edge) fails the call before any result is
-// published, so out is never left partially written. Valid batches are then
-// answered in failed-edge groups: queries failing the same tree edge share
-// one subtree repair, and non-tree-edge failures are O(1) lookups. Results
-// land in out (allocated when nil) in query order; each equals what
-// DistAvoiding returns for that query.
+// DistAvoidingMany answers a vector of failure queries. The whole batch is
+// validated up front — an invalid query (out-of-range target, or a failure
+// DistAvoidingQuery rejects) fails the call before any result is published,
+// so out is never left partially written. Valid batches are then answered
+// grouped by failure: queries of the same tree failure share one subtree
+// repair, and off-tree-path failures are O(1) lookups. Results land in out
+// (allocated when nil) in query order; each equals what DistAvoidingQuery
+// returns for that query.
 func (o *Oracle) DistAvoidingMany(queries []FailureQuery, out []int) ([]int, error) {
 	if out == nil {
 		out = make([]int, len(queries))
@@ -162,39 +278,18 @@ func (o *Oracle) DistAvoidingMany(queries []FailureQuery, out []int) ([]int, err
 	if len(out) != len(queries) {
 		return nil, fmt.Errorf("ftbfs: DistAvoidingMany: out has %d slots for %d queries", len(out), len(queries))
 	}
-	n := o.st.st.G.N()
-	o.ids = o.ids[:0]
-	o.ord = o.ord[:0]
-	for i, q := range queries {
-		if q.V < 0 || q.V >= n {
-			return nil, fmt.Errorf("ftbfs: query %d: vertex %d out of range [0,%d)", i, q.V, n)
-		}
-		id, err := o.failureEdge(q.FailedU, q.FailedV)
-		if err != nil {
-			return nil, fmt.Errorf("ftbfs: query %d: %w", i, err)
-		}
-		o.ids = append(o.ids, id)
-		o.ord = append(o.ord, int32(i))
-	}
-	// Group by failed edge: answering in edge order means each tree-edge
-	// failure is repaired exactly once and serves all its targets (planDist
-	// reuses the scratch while the id repeats). The sort is on the oracle's
-	// recycled index buffer, so steady-state batches allocate nothing.
-	slices.SortFunc(o.ord, func(a, b int32) int { return int(o.ids[a]) - int(o.ids[b]) })
-	for _, i := range o.ord {
-		out[i] = int(o.planDist(queries[i].V, o.ids[i]))
+	if err := o.answer(queries, out, nil); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// DistAvoidingEach answers a vector of (target, failed-edge) queries with
-// per-query error slots: an invalid query (out-of-range target, non-edge, or
-// reinforced edge) fills errs[i] and leaves out[i] at Unreachable instead of
-// failing the whole batch — the partial-result contract a scatter-gather
-// router needs. Valid queries are still answered in failed-edge groups, so
-// queries failing the same tree edge share one subtree repair exactly as in
-// DistAvoidingMany. out and errs are allocated when nil or mis-sized; both
-// are returned.
+// DistAvoidingEach answers a vector of failure queries with per-query error
+// slots: an invalid query fills errs[i] and leaves out[i] at Unreachable
+// instead of failing the whole batch — the partial-result contract a
+// scatter-gather router needs. Valid queries are still answered grouped by
+// failure, exactly as in DistAvoidingMany. out and errs are allocated when
+// nil or mis-sized; both are returned.
 func (o *Oracle) DistAvoidingEach(queries []FailureQuery, out []int, errs []error) ([]int, []error) {
 	if len(out) != len(queries) {
 		out = make([]int, len(queries))
@@ -202,43 +297,38 @@ func (o *Oracle) DistAvoidingEach(queries []FailureQuery, out []int, errs []erro
 	if len(errs) != len(queries) {
 		errs = make([]error, len(queries))
 	}
-	n := o.st.st.G.N()
+	o.answer(queries, out, errs)
+	return out, errs
+}
+
+// answer is the one batch loop behind DistAvoidingMany and DistAvoidingEach.
+// It validates every query, then answers the valid ones in failure order:
+// each tree failure is repaired exactly once and serves all its targets
+// (planDist reuses the scratch while the failure repeats). With errs nil the
+// first invalid query fails the call before out is touched; otherwise it
+// fills its errs slot and its out slot reads Unreachable. The sort runs on
+// the oracle's recycled index buffers, so steady-state batches allocate
+// nothing.
+func (o *Oracle) answer(queries []FailureQuery, out []int, errs []error) error {
 	o.ids = o.ids[:0]
 	o.ord = o.ord[:0]
 	for i, q := range queries {
-		errs[i] = nil
-		out[i] = Unreachable
-		if q.V < 0 || q.V >= n {
-			errs[i] = fmt.Errorf("ftbfs: vertex %d out of range [0,%d)", q.V, n)
-			o.ids = append(o.ids, graph.NoEdge)
-			continue
-		}
-		id, err := o.failureEdge(q.FailedU, q.FailedV)
-		if err != nil {
+		f, err := o.failure(q, true)
+		if errs != nil {
 			errs[i] = err
-			o.ids = append(o.ids, graph.NoEdge)
-			continue
+			out[i] = Unreachable
 		}
-		o.ids = append(o.ids, id)
-		o.ord = append(o.ord, int32(i))
+		if err != nil && errs == nil {
+			return fmt.Errorf("ftbfs: query %d: %w", i, err)
+		}
+		o.ids = append(o.ids, f)
+		if err == nil {
+			o.ord = append(o.ord, int32(i))
+		}
 	}
-	// Same grouped answering as DistAvoidingMany: edge order means each
-	// tree-edge failure repairs once for all its targets.
 	slices.SortFunc(o.ord, func(a, b int32) int { return int(o.ids[a]) - int(o.ids[b]) })
 	for _, i := range o.ord {
 		out[i] = int(o.planDist(queries[i].V, o.ids[i]))
 	}
-	return out, errs
-}
-
-// BaselineDistAvoiding returns dist(source, v) in the full graph G minus
-// the failed edge — the yardstick the FT-BFS contract compares against.
-func (o *Oracle) BaselineDistAvoiding(v, failedU, failedV int) (int, error) {
-	id := o.st.st.G.EdgeIDOf(failedU, failedV)
-	if id == graph.NoEdge {
-		return 0, fmt.Errorf("ftbfs: {%d,%d} is not an edge of the base graph", failedU, failedV)
-	}
-	o.scratch.DistancesAvoiding(o.st.st.G, o.st.st.S,
-		bfs.Restriction{BannedEdge: id}, o.dist)
-	return int(o.dist[v]), nil
+	return nil
 }

@@ -92,6 +92,20 @@ func TestDistAvoidingManyRejectsBadQueries(t *testing.T) {
 	if _, err := o.DistAvoidingMany(make([]ftbfs.FailureQuery, 2), make([]int, 1)); err == nil {
 		t.Fatal("mis-sized out accepted")
 	}
+	// The point, reference and baseline queries reject an out-of-range
+	// target with an error, like the batch paths.
+	e := failableEdges(st)[0]
+	for _, v := range []int{-1, g.N()} {
+		if _, err := o.DistAvoiding(v, e[0], e[1]); err == nil {
+			t.Fatalf("DistAvoiding: target %d accepted", v)
+		}
+		if _, err := o.DistAvoidingRef(v, e[0], e[1]); err == nil {
+			t.Fatalf("DistAvoidingRef: target %d accepted", v)
+		}
+		if _, err := o.BaselineDistAvoiding(v, e[0], e[1]); err == nil {
+			t.Fatalf("BaselineDistAvoiding: target %d accepted", v)
+		}
+	}
 }
 
 func TestDistAvoidingEachPartialResults(t *testing.T) {
@@ -110,13 +124,14 @@ func TestDistAvoidingEachPartialResults(t *testing.T) {
 		{V: 9, FailedU: 0, FailedV: 0},                         // not an edge
 		{V: g.N(), FailedU: edges[2][0], FailedV: edges[2][1]}, // bad target (high)
 		{V: 11, FailedU: edges[2][0], FailedV: edges[2][1]},
+		{V: 5, FailedU: 1, Vertex: true}, // a vertex failure: wrong model
 	}
 	dists, errs := o.DistAvoidingEach(queries, nil, nil)
 	if len(dists) != len(queries) || len(errs) != len(queries) {
 		t.Fatalf("got %d dists / %d errs for %d queries", len(dists), len(errs), len(queries))
 	}
 	for i, q := range queries {
-		bad := i == 1 || i == 3 || i == 4
+		bad := i == 1 || i == 3 || i == 4 || i == 6
 		if bad {
 			if errs[i] == nil {
 				t.Fatalf("query %d (%+v): invalid query got no error", i, q)
@@ -136,6 +151,10 @@ func TestDistAvoidingEachPartialResults(t *testing.T) {
 		if dists[i] != want {
 			t.Fatalf("query %d: got %d, want %d", i, dists[i], want)
 		}
+	}
+	// Many fails the whole call on the wrong-model slot.
+	if _, err := o.DistAvoidingMany(queries[5:], nil); err == nil {
+		t.Fatal("Many accepted a vertex failure on an edge structure")
 	}
 	// A reinforced edge must be rejected per-slot too.
 	for _, e := range st.ReinforcedEdges() {

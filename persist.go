@@ -66,7 +66,7 @@ func LoadStructure(g *Graph, r io.Reader) (*Structure, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Structure{st: st}, nil
+	return newStructure(st), nil
 }
 
 // Save serialises the vertex structure (without its base graph) as a
@@ -112,7 +112,7 @@ func LoadVertexStructure(g *Graph, r io.Reader) (*VertexStructure, error) {
 			return nil, fmt.Errorf("ftbfs: decoded vertex structure invalid: tree edge of vertex %d missing from H", v)
 		}
 	}
-	s := &VertexStructure{st: &vertexft.Structure{G: g.g, S: rec.S, Edges: rec.Edges, Pairs: rec.Pairs}}
+	s := newVertexStructure(&vertexft.Structure{G: g.g, S: rec.S, Edges: rec.Edges, Pairs: rec.Pairs})
 	intact := s.intactDistances()
 	for v := range intact {
 		if intact[v] != bt.Dist[v] {

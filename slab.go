@@ -7,7 +7,6 @@ import (
 	"ftbfs/internal/bfs"
 	"ftbfs/internal/core"
 	"ftbfs/internal/graph"
-	"ftbfs/internal/tree"
 	"ftbfs/internal/vertexft"
 )
 
@@ -22,70 +21,70 @@ func (s *Structure) SaveSlab(w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("ftbfs: slab save: %w", err)
 	}
-	p := s.Plan()
-	return core.EncodeSlab(w, s.st.G, &core.SlabRecord{
-		Model:      core.SlabEdge,
-		S:          s.st.S,
-		Eps:        s.st.Eps,
-		Alg:        alg,
-		Gen:        s.st.G.Generation(),
-		Edges:      s.st.Edges,
-		Reinforced: s.st.Reinforced,
-		TreeEdges:  s.st.TreeEdges,
-		Intact:     p.intact,
-		RowStart:   p.h.RowStart,
-		Arcs:       p.h.Arcs,
-		Parent:     p.t.Parent,
-		ParentEdge: p.t.ParentEdge,
-		Order:      p.t.Order(),
-	})
+	rec := s.slabRecord(core.SlabEdge)
+	rec.Eps = s.st.Eps
+	rec.Alg = alg
+	rec.Reinforced = s.st.Reinforced
+	rec.TreeEdges = s.st.TreeEdges
+	return core.EncodeSlab(w, s.g, rec)
 }
 
 // SaveSlab serialises the vertex structure as a version-3 binary record; the
 // vertex model stores no ε/algorithm/reinforcement dimension, mirroring the
 // version-2 text record. See Structure.SaveSlab.
 func (s *VertexStructure) SaveSlab(w io.Writer) error {
+	rec := s.slabRecord(core.SlabVertex)
+	rec.Pairs = s.st.Pairs
+	return core.EncodeSlab(w, s.g, rec)
+}
+
+// slabRecord returns the part of a slab record both failure models share:
+// H's edge set and the serving arrays of its query plan.
+func (s *serving) slabRecord(model core.SlabModel) *core.SlabRecord {
 	p := s.Plan()
-	return core.EncodeSlab(w, s.st.G, &core.SlabRecord{
-		Model:      core.SlabVertex,
-		S:          s.st.S,
-		Pairs:      s.st.Pairs,
-		Gen:        s.st.G.Generation(),
-		Edges:      s.st.Edges,
+	return &core.SlabRecord{
+		Model:      model,
+		S:          s.src,
+		Gen:        s.g.Generation(),
+		Edges:      s.edges,
 		Intact:     p.intact,
 		RowStart:   p.h.RowStart,
 		Arcs:       p.h.Arcs,
 		Parent:     p.t.Parent,
 		ParentEdge: p.t.ParentEdge,
 		Order:      p.t.Order(),
-	})
+	}
 }
 
-// slabTree reassembles the canonical BFS tree of H from a decoded record.
-// BuildAncestry is a linear pass over arrays the decoder already validated —
-// no search runs anywhere on the slab load path.
-func slabTree(g *graph.Graph, rec *core.SlabRecord) *tree.Tree {
-	return tree.BuildAncestry(g.N(), &bfs.Tree{
+// installSlabPlan installs the serving state a decoded binary record
+// carries — the intact vector and the query plan over H's CSR and H's
+// canonical BFS tree — so the first query after a load-through pays
+// nothing. The decoder already validated every array: no search runs
+// anywhere on the slab load path.
+func (s *serving) installSlabPlan(rec *core.SlabRecord) error {
+	h, err := graph.NewCSR(s.g.N(), rec.RowStart, rec.Arcs)
+	if err != nil {
+		return err
+	}
+	h.Gen = rec.Gen // the decoder verified rec.Gen == g.Generation()
+	bt := &bfs.Tree{
 		Source:     int32(rec.S),
 		Dist:       rec.Intact,
 		Parent:     rec.Parent,
 		ParentEdge: rec.ParentEdge,
 		Order:      rec.Order,
-	})
+	}
+	s.intactOnce.Do(func() { s.intactDist = rec.Intact })
+	s.planOnce.Do(func() { s.qplan = newQueryPlan(s.g, h, rec.Intact, bt, s.vertex) })
+	return nil
 }
 
 // slabStructure assembles a serving-ready edge structure from a decoded
-// binary record: the query plan and intact vector are installed directly, so
-// the first query after a load-through pays nothing.
+// binary record.
 func slabStructure(g *graph.Graph, rec *core.SlabRecord) (*Structure, error) {
 	if rec.Model != core.SlabEdge {
 		return nil, fmt.Errorf("ftbfs: record is a vertex structure (load it with LoadVertexStructure)")
 	}
-	h, err := graph.NewCSR(g.N(), rec.RowStart, rec.Arcs)
-	if err != nil {
-		return nil, err
-	}
-	h.Gen = rec.Gen // the decoder verified rec.Gen == g.Generation()
 	cs := &core.Structure{
 		G:          g,
 		S:          rec.S,
@@ -95,23 +94,10 @@ func slabStructure(g *graph.Graph, rec *core.SlabRecord) (*Structure, error) {
 		TreeEdges:  rec.TreeEdges,
 	}
 	cs.Stats.Algorithm = rec.Alg.String()
-	p := &QueryPlan{
-		h:         h,
-		intact:    rec.Intact,
-		t:         slabTree(g, rec),
-		edgeChild: make([]int32, g.M()),
+	s := newStructure(cs)
+	if err := s.installSlabPlan(rec); err != nil {
+		return nil, err
 	}
-	for id := range p.edgeChild {
-		p.edgeChild[id] = -1
-	}
-	for _, v := range rec.Order {
-		if id := rec.ParentEdge[v]; id != graph.NoEdge {
-			p.edgeChild[id] = v
-		}
-	}
-	s := &Structure{st: cs}
-	s.intactOnce.Do(func() { s.intactDist = rec.Intact })
-	s.planOnce.Do(func() { s.qplan = p })
 	return s, nil
 }
 
@@ -120,15 +106,9 @@ func slabVertexStructure(g *graph.Graph, rec *core.SlabRecord) (*VertexStructure
 	if rec.Model != core.SlabVertex {
 		return nil, fmt.Errorf("ftbfs: record is an edge structure (load it with LoadStructure)")
 	}
-	h, err := graph.NewCSR(g.N(), rec.RowStart, rec.Arcs)
-	if err != nil {
+	s := newVertexStructure(&vertexft.Structure{G: g, S: rec.S, Edges: rec.Edges, Pairs: rec.Pairs})
+	if err := s.installSlabPlan(rec); err != nil {
 		return nil, err
 	}
-	h.Gen = rec.Gen // the decoder verified rec.Gen == g.Generation()
-	s := &VertexStructure{st: &vertexft.Structure{G: g, S: rec.S, Edges: rec.Edges, Pairs: rec.Pairs}}
-	s.intactOnce.Do(func() { s.intactDist = rec.Intact })
-	s.planOnce.Do(func() {
-		s.qplan = &VertexQueryPlan{h: h, intact: rec.Intact, t: slabTree(g, rec)}
-	})
 	return s, nil
 }

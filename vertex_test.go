@@ -1,7 +1,7 @@
 package ftbfs_test
 
-// Differential tests of the vertex-failure serving path: the
-// VertexQueryPlan fast paths (O(1) off-tree-path reads, subtree-local
+// Differential tests of the vertex-failure serving path: the QueryPlan
+// fast paths (O(1) off-tree-path reads, subtree-local
 // repairs) must equal the full restricted-BFS reference for EVERY failable
 // vertex of every corpus graph — disconnecting failures included — and the
 // grouped batch paths and pooled oracles must agree with the point path
@@ -106,7 +106,7 @@ func TestVertexManyGroupsAndValidates(t *testing.T) {
 	o := st.Oracle()
 	n := tc.g.N()
 	rng := rand.New(rand.NewSource(42))
-	var queries []ftbfs.VertexFailureQuery
+	var queries []ftbfs.FailureQuery
 	for len(queries) < 48 {
 		w := rng.Intn(n)
 		if w == tc.source {
@@ -114,15 +114,15 @@ func TestVertexManyGroupsAndValidates(t *testing.T) {
 		}
 		// Deliberately repeat failed vertices so grouping shares repairs.
 		for k := 0; k < 3; k++ {
-			queries = append(queries, ftbfs.VertexFailureQuery{V: rng.Intn(n), Failed: w})
+			queries = append(queries, ftbfs.FailureQuery{V: rng.Intn(n), FailedU: w, Vertex: true})
 		}
 	}
-	out, err := o.DistAvoidingVertexMany(queries, nil)
+	out, err := o.DistAvoidingMany(queries, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, q := range queries {
-		want, err := o.DistAvoidingVertex(q.V, q.Failed)
+		want, err := o.DistAvoidingVertex(q.V, q.FailedU)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,36 +131,46 @@ func TestVertexManyGroupsAndValidates(t *testing.T) {
 		}
 	}
 
-	// An invalid slot fails the whole Many call before publishing anything.
-	poisoned := append(append([]ftbfs.VertexFailureQuery(nil), queries...),
-		ftbfs.VertexFailureQuery{V: 0, Failed: tc.source})
-	sentinel := make([]int, len(poisoned))
-	for i := range sentinel {
-		sentinel[i] = -777
-	}
-	if _, err := o.DistAvoidingVertexMany(poisoned, sentinel); err == nil {
-		t.Fatal("source-failure slot accepted")
-	}
-	for i, d := range sentinel {
-		if d != -777 {
-			t.Fatalf("Many published partial result at slot %d on error", i)
+	// An invalid slot — a failed source, or an edge failure, which a vertex
+	// structure does not model — fails the whole Many call before
+	// publishing anything.
+	e := st.Edges()[0]
+	for _, bad := range []struct {
+		q    ftbfs.FailureQuery
+		want string
+	}{
+		{ftbfs.FailureQuery{V: 0, FailedU: tc.source, Vertex: true}, "cannot fail"},
+		{ftbfs.FailureQuery{V: 0, FailedU: e[0], FailedV: e[1]}, "edge failure on a vertex-failure structure"},
+	} {
+		poisoned := append(append([]ftbfs.FailureQuery(nil), queries...), bad.q)
+		sentinel := make([]int, len(poisoned))
+		for i := range sentinel {
+			sentinel[i] = -777
 		}
-	}
+		if _, err := o.DistAvoidingMany(poisoned, sentinel); err == nil {
+			t.Fatalf("bad slot %+v accepted", bad.q)
+		}
+		for i, d := range sentinel {
+			if d != -777 {
+				t.Fatalf("Many published partial result at slot %d on error", i)
+			}
+		}
 
-	// Each errors the bad slots individually and still answers the rest.
-	outs, errs := o.DistAvoidingVertexEach(poisoned, nil, nil)
-	if errs[len(poisoned)-1] == nil {
-		t.Fatal("Each: source-failure slot not errored")
-	}
-	if !strings.Contains(errs[len(poisoned)-1].Error(), "cannot fail") {
-		t.Fatalf("Each: unexpected error %v", errs[len(poisoned)-1])
-	}
-	for i := range queries {
-		if errs[i] != nil {
-			t.Fatalf("Each: valid slot %d errored: %v", i, errs[i])
+		// Each errors the bad slots individually and still answers the rest.
+		outs, errs := o.DistAvoidingEach(poisoned, nil, nil)
+		if errs[len(poisoned)-1] == nil {
+			t.Fatalf("Each: bad slot %+v not errored", bad.q)
 		}
-		if outs[i] != out[i] {
-			t.Fatalf("Each: slot %d: %d != %d", i, outs[i], out[i])
+		if !strings.Contains(errs[len(poisoned)-1].Error(), bad.want) {
+			t.Fatalf("Each: unexpected error %v", errs[len(poisoned)-1])
+		}
+		for i := range queries {
+			if errs[i] != nil {
+				t.Fatalf("Each: valid slot %d errored: %v", i, errs[i])
+			}
+			if outs[i] != out[i] {
+				t.Fatalf("Each: slot %d: %d != %d", i, outs[i], out[i])
+			}
 		}
 	}
 }
@@ -181,7 +191,7 @@ func TestVertexOffPathQueryZeroAllocs(t *testing.T) {
 	// tree path.
 	w := -1
 	for x := 0; x < n; x++ {
-		if x != tc.source && plan.SubtreeSize(x) == 0 {
+		if x != tc.source && plan.SubtreeSizeVertex(x) == 0 {
 			w = x
 			break
 		}
@@ -239,10 +249,10 @@ func TestVertexPoolConcurrent(t *testing.T) {
 					continue
 				}
 				v := rng.Intn(n)
-				err := pool.Do(func(o *ftbfs.VertexOracle) error {
+				err := pool.Do(func(o *ftbfs.Oracle) error {
 					if rng.Intn(4) == 0 {
-						queries := []ftbfs.VertexFailureQuery{{V: v, Failed: w}, {V: (v + 3) % n, Failed: w}}
-						out, err := o.DistAvoidingVertexMany(queries, nil)
+						queries := []ftbfs.FailureQuery{{V: v, FailedU: w, Vertex: true}, {V: (v + 3) % n, FailedU: w, Vertex: true}}
+						out, err := o.DistAvoidingMany(queries, nil)
 						if err != nil {
 							return err
 						}
