@@ -880,11 +880,12 @@ func TestRouterWireFailoverAndReconnect(t *testing.T) {
 	// keeps the stale address, so the attempts sent to it fail and the
 	// other replica answers.
 	eps := fixtures[0].eps
-	k, err := (&server.QueryRequest{Graph: fixtures[0].fp, Source: fixtures[0].source, Eps: &eps}).EdgeKey()
+	v := 0
+	q, err := (&server.QueryRequest{Graph: fixtures[0].fp, Source: fixtures[0].source, Eps: &eps, V: &v}).Resolve("/dist")
 	if err != nil {
 		t.Fatal(err)
 	}
-	primary := lc.Router.ownersFor(k)[0].ID
+	primary := lc.Router.ownersFor(q.Key)[0].ID
 	var down *LocalShard
 	for _, sh := range lc.Shards {
 		if sh.ID == primary {

@@ -15,13 +15,16 @@
 // There is no second path: a wire transport fault — a dead listener, a
 // shard mid-restart, a member whose wire address is not yet known — fails
 // that attempt over to the next replica, the same move hedging makes for a
-// slow one, and counts in wire_fallbacks. The router decodes the client's
-// request once, validates it as a shard would (server.QueryRequest.Validate),
-// frames it, and writes the client's JSON once from the typed answer. HTTP
-// between the tiers remains only where it carries something the wire does
-// not: /build, /stats and /metrics/fleet scrapes, /readyz probes, and
-// shard-to-shard handoff.
+// slow one, and counts in wire_fallbacks. HTTP between the tiers remains
+// only where it carries something the wire does not: /build, /stats and
+// /metrics/fleet scrapes, /readyz probes, and shard-to-shard handoff.
 //
+// The router decodes a client's point request or batch slot once into a
+// server.Query — the same resolved request a shard decodes from JSON or
+// from a frame, through the same methods (QueryRequest.Resolve,
+// BatchQueryRequest.Resolve), so the two tiers refuse a malformed request
+// with the same message. It routes on the Query's Key, frames it with
+// Query.Frame, and writes the client's JSON once from the typed answer.
 // Routing hashes exactly what the store keys: (graph fingerprint, source,
 // ε, algorithm, failure model) — vertex-failure queries land on the same
 // ring as edge queries, just under their own keys, so hedged point reads

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -158,7 +157,7 @@ func NewRouter(m *Membership, opts RouterOptions) *Router {
 		{"/dist", rt.handlePoint},
 		{"/dist-avoiding", rt.handlePoint},
 		// The vertex failure model rides the same point machinery: the request
-		// resolves to its vertex-model registry key (KeyForEndpoint — the
+		// resolves to a vertex-model registry key (QueryRequest.Resolve — the
 		// endpoint, not a request field, picks the failure model), lands on that
 		// key's replica set, and gets the same hedged reads + failover.
 		{"/dist-avoiding-vertex", rt.handlePoint},
@@ -355,13 +354,6 @@ type attemptResult struct {
 	err  error
 }
 
-// wireQuery is a point request in binary-protocol form: the frame type plus
-// the fully-resolved query every attempt sends.
-type wireQuery struct {
-	typ byte
-	q   wire.PointQuery
-}
-
 // attemptTrace gives one shard attempt of a traced request its own trace
 // under the request's ID; the returned func folds the spans the shard sent
 // back into the request's trace under the member-ID prefix. Untraced
@@ -405,7 +397,7 @@ func (rt *Router) scoreWire(ctx context.Context, m *Member, answered *telemetry.
 // forwardPoint sends one point attempt to a member over the binary protocol.
 // A member with no known wire address fails the attempt like any other
 // transport fault, and hedgedDo moves on to the next replica.
-func (rt *Router) forwardPoint(ctx context.Context, m *Member, wq *wireQuery) attemptResult {
+func (rt *Router) forwardPoint(ctx context.Context, m *Member, typ byte, pq *wire.PointQuery) attemptResult {
 	wc, err := m.wireClient()
 	if err != nil {
 		rt.scoreWire(ctx, m, nil, nil, err)
@@ -413,7 +405,7 @@ func (rt *Router) forwardPoint(ctx context.Context, m *Member, wq *wireQuery) at
 	}
 	ctx, fold := attemptTrace(ctx, m)
 	start := time.Now()
-	d, werr, err := wc.Point(ctx, wq.typ, &wq.q)
+	d, werr, err := wc.Point(ctx, typ, pq)
 	fold()
 	if err == nil {
 		rt.rm.observeReplica(m.ID, "wire", time.Since(start))
@@ -547,14 +539,14 @@ func (rt *Router) noteKey(k store.Key) {
 // breaker). A deterministic client error (any other 4xx) is relayed
 // immediately — every replica would repeat it; a retryable status is
 // remembered and relayed only when every replica says no.
-func (rt *Router) hedgedDo(ctx context.Context, owners []*Member, wq *wireQuery) attemptResult {
+func (rt *Router) hedgedDo(ctx context.Context, owners []*Member, typ byte, pq *wire.PointQuery) attemptResult {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	results := make(chan attemptResult, len(owners))
 	next, pending := 0, 0
 	fire := func(m *Member) {
 		pending++
-		go func() { results <- rt.forwardPoint(ctx, m, wq) }()
+		go func() { results <- rt.forwardPoint(ctx, m, typ, pq) }()
 	}
 	launch := func() bool {
 		for next < len(owners) {
@@ -625,48 +617,28 @@ func (rt *Router) hedgedDo(ctx context.Context, owners []*Member, wq *wireQuery)
 }
 
 // handlePoint routes /dist, /dist-avoiding and /dist-avoiding-vertex:
-// validate the request and resolve its structure key exactly as a shard
-// would, frame it once, hedge it across the key's replica set over the
-// binary protocol, and write the client's JSON from the typed answer.
+// resolve the request exactly as a shard would, frame it once, hedge it
+// across the key's replica set over the binary protocol, and write the
+// client's JSON from the typed answer.
 func (rt *Router) handlePoint(w http.ResponseWriter, r *http.Request) {
-	q, err := server.ParseQuery(r)
+	req, err := server.ParseQuery(r)
+	var q server.Query
 	if err == nil {
-		err = q.Validate(r.URL.Path)
+		q, err = req.Resolve(r.URL.Path)
 	}
 	if err != nil {
 		rt.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	k, err := q.KeyForEndpoint(r.URL.Path)
-	if err != nil {
-		rt.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	owners := rt.ownersFor(k)
+	owners := rt.ownersFor(q.Key)
 	if len(owners) == 0 {
 		rt.writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("cluster: no shards joined"))
 		return
 	}
 	rt.rm.points.Inc()
-	rt.noteKey(k)
-	wq := wireQuery{typ: wire.TDist, q: wire.PointQuery{
-		FP:      k.Graph,
-		EpsBits: math.Float64bits(k.Eps),
-		Source:  int32(k.Source),
-		Alg:     int32(k.Alg),
-		V:       int32(*q.V),
-		A:       -1,
-		B:       -1,
-	}}
-	switch r.URL.Path {
-	case "/dist-avoiding":
-		wq.typ = wire.TDistAvoiding
-		wq.q.A, wq.q.B = int32(q.Fail[0]), int32(q.Fail[1])
-	case "/dist-avoiding-vertex":
-		wq.typ = wire.TDistAvoidingVertex
-		wq.q.A = int32(*q.FailedVertex)
-	}
-	res := rt.hedgedDo(r.Context(), owners, &wq)
+	rt.noteKey(q.Key)
+	typ, slot := q.Frame()
+	res := rt.hedgedDo(r.Context(), owners, typ, &slot.PointQuery)
 	switch {
 	case res.err != nil:
 		code := http.StatusBadGateway
@@ -679,12 +651,7 @@ func (rt *Router) handlePoint(w http.ResponseWriter, r *http.Request) {
 	case res.werr != nil:
 		rt.writeErr(w, res.werr.Code, errors.New(res.werr.Msg))
 	default:
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		// The bytes a shard's JSON encoder writes for {"dist": d}.
-		buf := append(make([]byte, 0, 24), `{"dist":`...)
-		buf = strconv.AppendInt(buf, int64(res.dist), 10)
-		_, _ = w.Write(append(buf, "}\n"...))
+		server.WriteDist(w, int(res.dist))
 	}
 }
 
@@ -713,7 +680,7 @@ func (rt *Router) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 	dists := make([]int, n)
 	errs := make([]string, n)
 	type route struct {
-		key    store.Key
+		slot   wire.BatchSlot
 		owners []*Member
 		tried  int // owners[:tried] already attempted
 	}
@@ -725,24 +692,25 @@ func (rt *Router) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 	ownersByKey := make(map[store.Key][]*Member)
 	for i := 0; i < n; i++ {
 		dists[i] = -1
-		k, err := req.KeyFor(i)
+		q, err := req.Resolve(i)
 		if err != nil {
 			errs[i] = err.Error()
 			continue
 		}
-		base, cached := ownersByKey[k]
+		base, cached := ownersByKey[q.Key]
 		if !cached {
-			base = rt.ownersFor(k)
-			ownersByKey[k] = base
+			base = rt.ownersFor(q.Key)
+			ownersByKey[q.Key] = base
 		}
-		rt.noteKey(k)
+		rt.noteKey(q.Key)
 		if len(base) == 0 {
 			errs[i] = "cluster: no shards joined"
 			continue
 		}
 		owners := make([]*Member, len(base))
 		copy(owners, base)
-		routes[i] = &route{key: k, owners: owners}
+		_, slot := q.Frame()
+		routes[i] = &route{slot: slot, owners: owners}
 		pending = append(pending, i)
 	}
 
@@ -843,25 +811,7 @@ func (rt *Router) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 				defer wg.Done()
 				slots := make([]wire.BatchSlot, len(sb.slots))
 				for j, i := range sb.slots {
-					k := routes[i].key
-					slots[j].PointQuery = wire.PointQuery{
-						FP:      k.Graph,
-						EpsBits: math.Float64bits(k.Eps),
-						Source:  int32(k.Source),
-						Alg:     int32(k.Alg),
-						V:       int32(req.Queries[i].V),
-						A:       -1,
-						B:       -1,
-					}
-					if k.Model == store.ModelVertex {
-						// KeyFor only derives a vertex-model key from a slot
-						// carrying failedVertex, so the deref is safe.
-						slots[j].Vertex = true
-						slots[j].A = int32(*req.Queries[i].FailedVertex)
-					} else {
-						slots[j].A = int32(req.Queries[i].Fail[0])
-						slots[j].B = int32(req.Queries[i].Fail[1])
-					}
+					slots[j] = routes[i].slot
 				}
 				var (
 					wdists []int32
@@ -1168,9 +1118,9 @@ func (rt *Router) handleMutate(w http.ResponseWriter, r *http.Request) {
 		rt.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
 		return
 	}
-	lineage, err := strconv.ParseUint(req.Graph, 16, 64)
+	lineage, err := server.ParseFingerprint(req.Graph)
 	if err != nil {
-		rt.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad graph fingerprint %q", req.Graph))
+		rt.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	// Validate the batch router-side (the same parse the shards run) so a

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"ftbfs"
-	"ftbfs/internal/core"
 	"ftbfs/internal/store"
 	"ftbfs/internal/wire"
 )
@@ -58,30 +57,17 @@ func HandoffKeyFor(k store.Key) HandoffKeyInfo {
 	return info
 }
 
-// StoreKey converts back to the registry key, with the same validation the
-// query paths apply (-0 ε folds to +0, finite ε, algorithm in range).
+// StoreKey converts back to the registry key through the same key
+// constructor as the query paths.
 func (i HandoffKeyInfo) StoreKey() (store.Key, error) {
-	fp, err := strconv.ParseUint(i.Graph, 16, 64)
+	fp, err := ParseFingerprint(i.Graph)
 	if err != nil {
-		return store.Key{}, fmt.Errorf("bad graph fingerprint %q", i.Graph)
+		return store.Key{}, err
 	}
-	if i.Model == "vertex" {
-		return store.VertexKey(fp, i.Source), nil
-	}
-	if i.Model != "" {
+	if i.Model != "" && i.Model != "vertex" {
 		return store.Key{}, fmt.Errorf("unknown model %q", i.Model)
 	}
-	e := i.Eps
-	if math.IsNaN(e) || math.IsInf(e, 0) {
-		return store.Key{}, fmt.Errorf("eps must be finite, got %v", e)
-	}
-	if e == 0 {
-		e = 0
-	}
-	if i.Alg < 0 || i.Alg > int(core.Greedy) {
-		return store.Key{}, fmt.Errorf("unknown algorithm code %d", i.Alg)
-	}
-	return store.Key{Graph: fp, Source: i.Source, Eps: e, Alg: ftbfs.Algorithm(i.Alg)}, nil
+	return makeKey(fp, i.Source, i.Eps, i.Alg, i.Model == "vertex")
 }
 
 // WireKey converts to the binary-protocol handoff key.
@@ -185,9 +171,9 @@ func (s *Server) handleHandoffGraph(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
 		return
 	}
-	fp, err := strconv.ParseUint(r.URL.Query().Get("graph"), 16, 64)
+	fp, err := ParseFingerprint(r.URL.Query().Get("graph"))
 	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad graph fingerprint %q", r.URL.Query().Get("graph")))
+		s.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	data, err := s.store.GraphText(fp)
@@ -389,9 +375,9 @@ func (s *Server) HandoffRecord(ctx context.Context, k *wire.HandoffKey) ([]byte,
 	if err := ctx.Err(); err != nil {
 		return nil, &wire.Error{Code: http.StatusGatewayTimeout, Msg: err.Error()}
 	}
-	sk := store.Key{Graph: k.FP, Source: int(k.Source), Eps: math.Float64frombits(k.EpsBits), Alg: ftbfs.Algorithm(k.Alg)}
-	if k.Vertex {
-		sk = store.VertexKey(k.FP, int(k.Source))
+	sk, err := makeKey(k.FP, int(k.Source), math.Float64frombits(k.EpsBits), int(k.Alg), k.Vertex)
+	if err != nil {
+		return nil, &wire.Error{Code: http.StatusBadRequest, Msg: err.Error()}
 	}
 	data, err := s.store.ExportRecord(sk)
 	if err != nil {

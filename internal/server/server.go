@@ -43,11 +43,17 @@
 // partial results. A slot carrying "failedVertex" instead of "fail" is a
 // vertex-failure query; both models may mix freely in one vector.
 //
+// Every point request and batch slot, from JSON or from a wire frame
+// (wire.go), resolves to one Query — a structure key from one key
+// constructor plus one failure query — answered by answerPoint or, for
+// batches, answerGroups.
+//
 // Distances use -1 for "unreachable". Errors are {"error": "..."} with a
 // 4xx/5xx status.
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -645,9 +651,9 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
 		return
 	}
-	lineage, err := strconv.ParseUint(req.Graph, 16, 64)
+	lineage, err := ParseFingerprint(req.Graph)
 	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad graph fingerprint %q", req.Graph))
+		s.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	muts, err := req.ParsedMutations()
@@ -680,25 +686,105 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 // GET requests carry the same fields as URL parameters (graph, source, eps,
 // alg, v, fu, fv, fw). V is a pointer so an omitted target is
 // distinguishable from vertex 0 — the distance endpoints reject it as
-// malformed; FailedVertex (fw) likewise, and its presence switches the
-// request to the vertex failure model (eps/alg are then ignored: the
-// vertex structure has neither dimension).
+// malformed; FailedVertex (fw) likewise. The endpoint, not the fields
+// present, picks the failure model (Resolve).
 type QueryRequest struct {
-	Graph        string   `json:"graph"`
-	Source       int      `json:"source"`
-	Eps          *float64 `json:"eps,omitempty"`
-	Alg          string   `json:"alg,omitempty"`
-	V            *int     `json:"v,omitempty"`
-	Fail         *[2]int  `json:"fail,omitempty"`
-	FailedVertex *int     `json:"failedVertex,omitempty"`
+	Graph        string      `json:"graph"`
+	Source       int         `json:"source"`
+	Eps          *float64    `json:"eps,omitempty"`
+	Alg          string      `json:"alg,omitempty"`
+	V            *int        `json:"v,omitempty"`
+	Fail         *FailedEdge `json:"fail,omitempty"`
+	FailedVertex *int        `json:"failedVertex,omitempty"`
 }
 
-// resolveKey turns a structure address into the registry key the router and
-// the shard server agree on — routing hashes exactly what the store keys.
-func resolveKey(graphHex string, source int, eps *float64, algName string) (store.Key, error) {
-	fp, err := strconv.ParseUint(graphHex, 16, 64)
+// FailedEdge is the failed edge [u, v] of a JSON request. It decodes from
+// exactly two integers: encoding/json would zero-fill a shorter array and
+// drop the tail of a longer one, answering a query nobody asked. Any other
+// value decodes to badEdge, which Resolve rejects — so one malformed batch
+// slot errors alone instead of failing the whole body.
+type FailedEdge [2]int
+
+// badEdge marks a malformed "fail" value; no graph has such an edge.
+var badEdge = FailedEdge{math.MinInt, math.MinInt}
+
+// errBadEdge is Resolve's verdict on badEdge.
+var errBadEdge = errors.New("failed edge must be exactly two vertices [u, v]")
+
+// UnmarshalJSON implements json.Unmarshaler; null leaves e unchanged.
+func (e *FailedEdge) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		return nil
+	}
+	*e = badEdge
+	in, ok := bytes.CutPrefix(b, []byte("["))
+	if !ok {
+		return nil
+	}
+	us, vs, _ := bytes.Cut(bytes.TrimSuffix(in, []byte("]")), []byte(","))
+	u, err1 := strconv.Atoi(string(bytes.TrimSpace(us)))
+	v, err2 := strconv.Atoi(string(bytes.TrimSpace(vs)))
+	if err1 == nil && err2 == nil {
+		*e = FailedEdge{u, v}
+	}
+	return nil
+}
+
+// Query is one resolved request, whatever it arrived as — a JSON point
+// request, a JSON batch slot, or a wire frame: the registry key it
+// addresses plus dist(s, V) in H minus the embedded failure, or in the
+// intact H when Intact is set (/dist, TDist). Routing hashes Key, the shard
+// answers Query through answerPoint or answerGroups, and the router frames
+// it with Frame, so no layer re-derives any part of it.
+type Query struct {
+	Key store.Key
+	ftbfs.FailureQuery
+	Intact bool
+}
+
+// makeKey is the one constructor of a registry key from a request, shared
+// by the JSON, wire and handoff decoders, so routing hashes exactly what the
+// store keys. A vertex key pins ε and the algorithm to zero (a stray ε on a
+// vertex request is ignored); an edge key rejects a non-finite ε before it
+// can poison a store key (NaN never equals itself), folds IEEE -0 — what
+// JSON "-0" parses to — into +0 so the key and its ring position are
+// unique, and rejects an algorithm code out of range.
+func makeKey(fp uint64, source int, eps float64, alg int, vertex bool) (store.Key, error) {
+	if vertex {
+		return store.VertexKey(fp, source), nil
+	}
+	if math.IsNaN(eps) || math.IsInf(eps, 0) {
+		return store.Key{}, fmt.Errorf("eps must be finite, got %v", eps)
+	}
+	if eps == 0 {
+		eps = 0
+	}
+	if alg < 0 || alg > int(core.Greedy) {
+		return store.Key{}, fmt.Errorf("unknown algorithm code %d", alg)
+	}
+	return store.Key{Graph: fp, Source: source, Eps: eps, Alg: ftbfs.Algorithm(alg)}, nil
+}
+
+// ParseFingerprint parses the %016x graph fingerprint (lineage) that keys
+// every request after /build.
+func ParseFingerprint(hex string) (uint64, error) {
+	fp, err := strconv.ParseUint(hex, 16, 64)
 	if err != nil {
-		return store.Key{}, fmt.Errorf("bad graph fingerprint %q", graphHex)
+		return 0, fmt.Errorf("bad graph fingerprint %q", hex)
+	}
+	return fp, nil
+}
+
+// jsonKey resolves a JSON structure address through makeKey: the vertex
+// model reads neither ε nor the algorithm name; the edge model defaults ε
+// to DefaultEps and the algorithm to auto.
+func jsonKey(graphHex string, source int, eps *float64, algName string, vertex bool) (store.Key, error) {
+	fp, err := ParseFingerprint(graphHex)
+	if err != nil {
+		return store.Key{}, err
+	}
+	if vertex {
+		return makeKey(fp, source, 0, 0, true)
 	}
 	alg, err := core.ParseAlgorithm(algName)
 	if err != nil {
@@ -708,81 +794,40 @@ func resolveKey(graphHex string, source int, eps *float64, algName string) (stor
 	if eps != nil {
 		e = *eps
 	}
-	e, err = normEps(e)
-	if err != nil {
-		return store.Key{}, err
-	}
-	return store.Key{Graph: fp, Source: source, Eps: e, Alg: alg}, nil
+	return makeKey(fp, source, e, int(alg), false)
 }
 
-// normEps is the one ε normaliser of a structure address, shared by the
-// JSON (resolveKey) and wire (keyForPoint) key resolvers. A non-finite ε is
-// rejected before it can poison a store key (NaN never equals itself), and
-// IEEE -0 — what JSON "-0" parses to — folds into +0 so the key, and the
-// cluster ring position derived from its bits, is unique.
-func normEps(e float64) (float64, error) {
-	if math.IsNaN(e) || math.IsInf(e, 0) {
-		return 0, fmt.Errorf("eps must be finite, got %v", e)
+// Resolve checks that the request carries every field the point endpoint
+// at path needs — a target v everywhere, a failed edge on /dist-avoiding, a
+// failed vertex on /dist-avoiding-vertex — and no malformed fail, and
+// resolves it. The endpoint picks the model: a stray fw on /dist or
+// /dist-avoiding is ignored. The shard handlers and the cluster router both call it, so
+// the two tiers refuse a request with the same 400 and message.
+func (q *QueryRequest) Resolve(path string) (Query, error) {
+	if q.V == nil {
+		return Query{}, fmt.Errorf("missing target vertex v")
 	}
-	if e == 0 {
-		e = 0
+	if q.Fail != nil && *q.Fail == badEdge {
+		return Query{}, errBadEdge
 	}
-	return e, nil
-}
-
-// resolveVertexModelKey turns a vertex-failure address into its canonical
-// registry key: graph + source only, ε and algorithm pinned at their zero
-// values by store.VertexKey so every addressing of one vertex structure
-// maps to one key — and one cluster ring position.
-func resolveVertexModelKey(graphHex string, source int) (store.Key, error) {
-	fp, err := strconv.ParseUint(graphHex, 16, 64)
-	if err != nil {
-		return store.Key{}, fmt.Errorf("bad graph fingerprint %q", graphHex)
+	r := Query{FailureQuery: ftbfs.FailureQuery{V: *q.V}}
+	switch path {
+	case "/dist-avoiding":
+		if q.Fail == nil {
+			return Query{}, fmt.Errorf("missing failed edge (fail=[u,v] or fu=&fv=)")
+		}
+		r.FailedU, r.FailedV = q.Fail[0], q.Fail[1]
+	case "/dist-avoiding-vertex":
+		if q.FailedVertex == nil {
+			return Query{}, fmt.Errorf("missing failed vertex (failedVertex or fw=)")
+		}
+		r.FailedU, r.Vertex = *q.FailedVertex, true
+	default:
+		r.Intact = true
 	}
-	return store.VertexKey(fp, source), nil
-}
-
-// EdgeKey resolves the edge-model structure key the request addresses —
-// what /dist and /dist-avoiding serve. A stray failedVertex/fw field does
-// not change the model: the endpoint, not the parameter, picks the failure
-// model (KeyForEndpoint). The cluster router routes on exactly this key.
-func (q *QueryRequest) EdgeKey() (store.Key, error) {
-	return resolveKey(q.Graph, q.Source, q.Eps, q.Alg)
-}
-
-// VertexKey resolves the vertex-model structure key the request addresses —
-// what /dist-avoiding-vertex serves (graph + source only; ε and algorithm
-// do not exist in the vertex model and are ignored).
-func (q *QueryRequest) VertexKey() (store.Key, error) {
-	return resolveVertexModelKey(q.Graph, q.Source)
-}
-
-// KeyForEndpoint resolves the structure key a request to the given URL path
-// addresses: the vertex-model key for /dist-avoiding-vertex, the edge key
-// for every other point endpoint. The router shares this with the shard
-// handlers so both tiers route and serve on the same key.
-func (q *QueryRequest) KeyForEndpoint(path string) (store.Key, error) {
-	if path == "/dist-avoiding-vertex" {
-		return q.VertexKey()
-	}
-	return q.EdgeKey()
-}
-
-// Validate checks that the request carries every field the point endpoint
-// at path needs: a target v everywhere, plus a failed edge on
-// /dist-avoiding and a failed vertex on /dist-avoiding-vertex. The shard
-// handlers and the cluster router both call it, so the two tiers refuse an
-// incomplete request with the same 400 and message.
-func (q *QueryRequest) Validate(path string) error {
-	switch {
-	case q.V == nil:
-		return fmt.Errorf("missing target vertex v")
-	case path == "/dist-avoiding" && q.Fail == nil:
-		return fmt.Errorf("missing failed edge (fail=[u,v] or fu=&fv=)")
-	case path == "/dist-avoiding-vertex" && q.FailedVertex == nil:
-		return fmt.Errorf("missing failed vertex (failedVertex or fw=)")
-	}
-	return nil
+	var err error
+	r.Key, err = jsonKey(q.Graph, q.Source, q.Eps, q.Alg, r.Vertex)
+	return r, err
 }
 
 // ParseQuery decodes a QueryRequest from a POST body or GET parameters.
@@ -835,7 +880,7 @@ func ParseQuery(r *http.Request) (QueryRequest, error) {
 		if vals.Get("fu") == "" || vals.Get("fv") == "" {
 			return q, fmt.Errorf("failed edge needs both fu= and fv=")
 		}
-		var fail [2]int
+		var fail FailedEdge
 		if err := intParam("fu", &fail[0]); err != nil {
 			return q, err
 		}
@@ -921,53 +966,59 @@ func (s *Server) poolForKey(ctx context.Context, k store.Key, v *int) (*ftbfs.Or
 	return st.OraclePool(), nil
 }
 
+// answerPoint answers one resolved point query with a pooled oracle of the
+// structure q.Key names: the intact distance from the structure's shared
+// cached vector, or one failure through its QueryPlan — O(1) for a failure
+// off the target's tree path, a subtree-local repair otherwise. Both
+// transports' point handlers call it and map its error through statusFor.
+func (s *Server) answerPoint(ctx context.Context, q Query) (int, error) {
+	pool, err := s.poolForKey(ctx, q.Key, &q.V)
+	if err != nil {
+		return 0, err
+	}
+	var d int
+	err = pool.Do(func(o *ftbfs.Oracle) error {
+		if q.Intact {
+			d = o.Dist(q.V)
+			return nil
+		}
+		var qerr error
+		d, qerr = o.DistAvoidingQuery(q.FailureQuery)
+		return qerr
+	})
+	return d, err
+}
+
 type distResponse struct {
 	Dist int `json:"dist"` // -1 means unreachable
 }
 
-// handlePoint serves the three point endpoints. The URL path picks the
-// structure key (KeyForEndpoint) and the question: /dist reads the intact
-// distance from the structure's shared cached vector, /dist-avoiding and
-// /dist-avoiding-vertex answer one failure through the structure's
-// QueryPlan — O(1) for a failure off the target's tree path, a
-// subtree-local repair otherwise.
+// WriteDist writes the 200 {"dist":d} reply of a point endpoint. The shard
+// handlers and the cluster router both reply with it.
+func WriteDist(w http.ResponseWriter, d int) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_ = json.NewEncoder(w).Encode(distResponse{Dist: d})
+}
+
+// handlePoint serves the three point endpoints; the URL path picks the
+// structure key and the question (QueryRequest.Resolve).
 func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
-	q, err := ParseQuery(r)
+	req, err := ParseQuery(r)
+	var q Query
 	if err == nil {
-		err = q.Validate(r.URL.Path)
+		q, err = req.Resolve(r.URL.Path)
 	}
-	var k store.Key
+	var d int
 	if err == nil {
-		k, err = q.KeyForEndpoint(r.URL.Path)
+		d, err = s.answerPoint(r.Context(), q)
 	}
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	pool, err := s.poolForKey(r.Context(), k, q.V)
 	if err != nil {
 		s.writeErr(w, statusFor(err), err)
 		return
 	}
-	var d int
-	err = pool.Do(func(o *ftbfs.Oracle) error {
-		var qerr error
-		switch r.URL.Path {
-		case "/dist":
-			d = o.Dist(*q.V)
-		case "/dist-avoiding-vertex":
-			d, qerr = o.DistAvoidingVertex(*q.V, *q.FailedVertex)
-		default:
-			d, qerr = o.DistAvoiding(*q.V, q.Fail[0], q.Fail[1])
-		}
-		return qerr
-	})
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
 	s.m.queries.Inc()
-	s.writeJSON(w, http.StatusOK, distResponse{Dist: d})
+	WriteDist(w, d)
 }
 
 // BatchQuery is one entry of a /batch-query vector: the target vertex, the
@@ -978,13 +1029,13 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 // vertex: the slot then addresses the (graph, source) vertex-failure
 // structure and Eps/Alg are ignored.
 type BatchQuery struct {
-	Graph        string   `json:"graph,omitempty"`
-	Source       *int     `json:"source,omitempty"`
-	Eps          *float64 `json:"eps,omitempty"`
-	Alg          string   `json:"alg,omitempty"`
-	V            int      `json:"v"`
-	Fail         [2]int   `json:"fail"`
-	FailedVertex *int     `json:"failedVertex,omitempty"`
+	Graph        string     `json:"graph,omitempty"`
+	Source       *int       `json:"source,omitempty"`
+	Eps          *float64   `json:"eps,omitempty"`
+	Alg          string     `json:"alg,omitempty"`
+	V            int        `json:"v"`
+	Fail         FailedEdge `json:"fail"`
+	FailedVertex *int       `json:"failedVertex,omitempty"`
 }
 
 // BatchQueryRequest is the body of POST /batch-query: a default structure
@@ -999,31 +1050,37 @@ type BatchQueryRequest struct {
 	Queries []BatchQuery `json:"queries"`
 }
 
-// KeyFor resolves the structure key addressed by query i, applying the
-// request-level defaults; a slot carrying a failed vertex resolves to the
-// vertex-model key. The cluster router routes on exactly this key.
-func (req *BatchQueryRequest) KeyFor(i int) (store.Key, error) {
-	q := &req.Queries[i]
-	graph := q.Graph
+// Resolve resolves query i, applying the request-level address defaults;
+// a slot carrying a failed vertex addresses the vertex model. The shard
+// and the cluster router both call it, so they route and serve one key.
+func (req *BatchQueryRequest) Resolve(i int) (Query, error) {
+	bq := &req.Queries[i]
+	if bq.Fail == badEdge {
+		return Query{}, errBadEdge
+	}
+	q := Query{FailureQuery: ftbfs.FailureQuery{V: bq.V, FailedU: bq.Fail[0], FailedV: bq.Fail[1]}}
+	if bq.FailedVertex != nil {
+		q.FailureQuery = ftbfs.FailureQuery{V: bq.V, FailedU: *bq.FailedVertex, Vertex: true}
+	}
+	graph := bq.Graph
 	if graph == "" {
 		graph = req.Graph
 	}
 	source := req.Source
-	if q.Source != nil {
-		source = *q.Source
-	}
-	if q.FailedVertex != nil {
-		return resolveVertexModelKey(graph, source)
+	if bq.Source != nil {
+		source = *bq.Source
 	}
 	eps := req.Eps
-	if q.Eps != nil {
-		eps = q.Eps
+	if bq.Eps != nil {
+		eps = bq.Eps
 	}
-	alg := q.Alg
+	alg := bq.Alg
 	if alg == "" {
 		alg = req.Alg
 	}
-	return resolveKey(graph, source, eps, alg)
+	var err error
+	q.Key, err = jsonKey(graph, source, eps, alg, q.Vertex)
+	return q, err
 }
 
 // BatchQueryResponse is the reply of POST /batch-query. Dists is parallel to
@@ -1043,6 +1100,33 @@ type queryGroup struct {
 	key     store.Key
 	slots   []int
 	queries []ftbfs.FailureQuery
+}
+
+// groupQueries resolves the n slots of a batch and groups them by addressed
+// structure, in first-seen order, for answerGroups; a slot that does not
+// resolve errors alone (Unreachable in dists, the message in errs). Slots of
+// one group share a failure model by construction: the model is part of
+// the key.
+func groupQueries(n int, resolve func(i int) (Query, error), dists []int, errs []string) []*queryGroup {
+	var groups []*queryGroup
+	byKey := make(map[store.Key]*queryGroup)
+	for i := 0; i < n; i++ {
+		q, err := resolve(i)
+		if err != nil {
+			dists[i] = ftbfs.Unreachable
+			errs[i] = err.Error()
+			continue
+		}
+		gr := byKey[q.Key]
+		if gr == nil {
+			gr = &queryGroup{key: q.Key}
+			byKey[q.Key] = gr
+			groups = append(groups, gr)
+		}
+		gr.slots = append(gr.slots, i)
+		gr.queries = append(gr.queries, q.FailureQuery)
+	}
+	return groups
 }
 
 // answerGroups resolves each group's structure and answers its slots with one
@@ -1146,33 +1230,7 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	dists := make([]int, len(req.Queries))
 	errs := make([]string, len(req.Queries))
-	// Group the vector by addressed structure, preserving first-seen order;
-	// a query with an unresolvable address errors its own slot only. Slots
-	// of one group share a failure model by construction (vertex slots
-	// resolve to vertex keys).
-	var groups []*queryGroup
-	byKey := make(map[store.Key]*queryGroup)
-	for i := range req.Queries {
-		k, err := req.KeyFor(i)
-		if err != nil {
-			dists[i] = ftbfs.Unreachable
-			errs[i] = err.Error()
-			continue
-		}
-		gr := byKey[k]
-		if gr == nil {
-			gr = &queryGroup{key: k}
-			byKey[k] = gr
-			groups = append(groups, gr)
-		}
-		q := req.Queries[i]
-		fq := ftbfs.FailureQuery{V: q.V, FailedU: q.Fail[0], FailedV: q.Fail[1]}
-		if q.FailedVertex != nil {
-			fq = ftbfs.FailureQuery{V: q.V, FailedU: *q.FailedVertex, Vertex: true}
-		}
-		gr.slots = append(gr.slots, i)
-		gr.queries = append(gr.queries, fq)
-	}
+	groups := groupQueries(len(req.Queries), req.Resolve, dists, errs)
 	s.m.queries.Add(s.answerGroups(r.Context(), groups, dists, errs))
 	resp := BatchQueryResponse{Dists: dists}
 	for _, e := range errs {

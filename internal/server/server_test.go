@@ -86,6 +86,20 @@ func getJSON(t testing.TB, url string, out any) (int, string) {
 	return resp.StatusCode, buf.String()
 }
 
+// failableSourceNeighbour returns a neighbour u of source 0 whose edge
+// {u, 0} may fail in st: a failed edge decoded from [u] with a zero-filled
+// second vertex would name it, so a short "fail" would still be answered.
+func failableSourceNeighbour(t testing.TB, st *ftbfs.Structure) int {
+	t.Helper()
+	for _, e := range st.Edges() {
+		if e[0]*e[1] == 0 && !st.IsReinforced(e[0], e[1]) {
+			return e[0] + e[1]
+		}
+	}
+	t.Fatal("no failable edge at the source")
+	return 0
+}
+
 // buildVia registers g with the service and returns its fingerprint.
 func buildVia(t testing.TB, ts *httptest.Server, g *ftbfs.Graph, sources []int, eps float64) BuildResponse {
 	t.Helper()
@@ -201,7 +215,7 @@ func TestDistEndpoints(t *testing.T) {
 	eps := 0.3
 	v17 := 17
 	code, body = postJSON(t, ts.URL+"/dist-avoiding", QueryRequest{
-		Graph: fp, Eps: &eps, V: &v17, Fail: &fail,
+		Graph: fp, Eps: &eps, V: &v17, Fail: (*FailedEdge)(&fail),
 	}, &dr)
 	if code != http.StatusOK || dr.Dist != want {
 		t.Fatalf("/dist-avoiding POST: %d %s (want dist %d)", code, body, want)
@@ -228,6 +242,15 @@ func TestDistEndpoints(t *testing.T) {
 	}
 	if code, _ := getJSON(t, fmt.Sprintf("%s/dist-avoiding?graph=%s&eps=0.3&fu=%d&fv=%d", ts.URL, fp, fail[0], fail[1]), nil); code != http.StatusBadRequest {
 		t.Fatalf("missing v accepted on /dist-avoiding: %d", code)
+	}
+	// A failed edge is exactly two vertices: [u] must not read as [u, 0],
+	// nor [u, 0, 7] as [u, 0].
+	u := failableSourceNeighbour(t, st2)
+	for _, bad := range []string{fmt.Sprintf("[%d]", u), fmt.Sprintf("[%d,0,7]", u)} {
+		raw := fmt.Sprintf(`{"graph":%q,"eps":0.3,"v":17,"fail":%s}`, fp, bad)
+		if code, body := postJSON(t, ts.URL+"/dist-avoiding", json.RawMessage(raw), nil); code != http.StatusBadRequest {
+			t.Fatalf("fail=%s accepted: %d %s", bad, code, body)
+		}
 	}
 	// NaN eps must be rejected, not become an unfindable map key (ParseFloat
 	// accepts "NaN"; a NaN key would nil-deref in the store's single-flight).
@@ -337,13 +360,22 @@ func TestBatchQueryPartialErrors(t *testing.T) {
 		{V: 5, Fail: [2]int{0, 0}},                    // not an edge
 		{V: 1, Graph: "ffffffffffffffff", Fail: fail}, // unknown structure
 	}}
+	// A slot whose failed edge is not exactly [u, v] errors alone; BatchQuery
+	// cannot hold one, so it travels as raw JSON.
+	queries := make([]any, 0, len(req.Queries)+1)
+	for _, q := range req.Queries {
+		queries = append(queries, q)
+	}
+	short := fmt.Sprintf(`{"v":17,"fail":[%d]}`, failableSourceNeighbour(t, st0))
+	queries = append(queries, json.RawMessage(short))
 	var resp BatchQueryResponse
-	code, body := postJSON(t, ts.URL+"/batch-query", req, &resp)
+	code, body := postJSON(t, ts.URL+"/batch-query",
+		map[string]any{"graph": req.Graph, "eps": eps, "queries": queries}, &resp)
 	if code != http.StatusOK {
 		t.Fatalf("/batch-query with partial errors: %d %s", code, body)
 	}
-	if len(resp.Dists) != 5 || len(resp.Errors) != 5 {
-		t.Fatalf("got %d dists / %d errors, want 5/5: %s", len(resp.Dists), len(resp.Errors), body)
+	if len(resp.Dists) != 6 || len(resp.Errors) != 6 {
+		t.Fatalf("got %d dists / %d errors, want 6/6: %s", len(resp.Dists), len(resp.Errors), body)
 	}
 	if resp.Errors[0] != "" || resp.Dists[0] != want0 {
 		t.Fatalf("slot 0: dist %d err %q, want %d ok", resp.Dists[0], resp.Errors[0], want0)
@@ -351,7 +383,7 @@ func TestBatchQueryPartialErrors(t *testing.T) {
 	if resp.Errors[2] != "" || resp.Dists[2] != want3 {
 		t.Fatalf("slot 2: dist %d err %q, want %d ok", resp.Dists[2], resp.Errors[2], want3)
 	}
-	for _, i := range []int{1, 3, 4} {
+	for _, i := range []int{1, 3, 4, 5} {
 		if resp.Errors[i] == "" {
 			t.Fatalf("slot %d: invalid query got no error (%s)", i, body)
 		}

@@ -3,12 +3,11 @@ package server
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"time"
 
 	"ftbfs"
-	"ftbfs/internal/core"
-	"ftbfs/internal/store"
 	"ftbfs/internal/telemetry"
 	"ftbfs/internal/wire"
 )
@@ -18,27 +17,46 @@ import (
 // as the HTTP handlers, so the two transports are answer-identical by
 // construction — only the encoding differs.
 
-// keyForPoint resolves the registry key a wire point query of type typ
-// addresses, mirroring resolveKey/resolveVertexModelKey (which parse the
-// same fields out of JSON): ε goes through the shared normEps, and unknown
-// point types and out-of-range algorithms are rejected before they can
-// poison a store key.
-func keyForPoint(typ byte, q *wire.PointQuery) (store.Key, error) {
+// fromWire decodes a wire point query of frame type typ (a batch slot is
+// TDistAvoiding or TDistAvoidingVertex) into a Query.
+func fromWire(typ byte, pq *wire.PointQuery) (Query, error) {
+	q := Query{FailureQuery: ftbfs.FailureQuery{V: int(pq.V), FailedU: int(pq.A), FailedV: int(pq.B)}}
 	switch typ {
+	case wire.TDist:
+		q.Intact = true
+	case wire.TDistAvoiding:
 	case wire.TDistAvoidingVertex:
-		return store.VertexKey(q.FP, int(q.Source)), nil
-	case wire.TDist, wire.TDistAvoiding:
+		q.Vertex = true
 	default:
-		return store.Key{}, fmt.Errorf("unknown point type %#x", typ)
+		return q, fmt.Errorf("unknown point type %#x", typ)
 	}
-	e, err := normEps(q.Eps())
-	if err != nil {
-		return store.Key{}, err
+	var err error
+	q.Key, err = makeKey(pq.FP, int(pq.Source), pq.Eps(), int(pq.Alg), q.Vertex)
+	return q, err
+}
+
+// Frame encodes q for the binary protocol — the inverse of fromWire: the
+// point frame type, and the batch slot whose embedded PointQuery is the
+// point payload.
+func (q *Query) Frame() (byte, wire.BatchSlot) {
+	sl := wire.BatchSlot{PointQuery: wire.PointQuery{
+		FP:      q.Key.Graph,
+		EpsBits: math.Float64bits(q.Key.Eps),
+		Source:  int32(q.Key.Source),
+		Alg:     int32(q.Key.Alg),
+		V:       int32(q.V),
+		A:       -1,
+		B:       -1,
+	}, Vertex: q.Vertex}
+	switch {
+	case q.Intact:
+		return wire.TDist, sl
+	case q.Vertex:
+		sl.A = int32(q.FailedU)
+		return wire.TDistAvoidingVertex, sl
 	}
-	if q.Alg < 0 || q.Alg > int32(core.Greedy) {
-		return store.Key{}, fmt.Errorf("unknown algorithm code %d", q.Alg)
-	}
-	return store.Key{Graph: q.FP, Source: int(q.Source), Eps: e, Alg: ftbfs.Algorithm(q.Alg)}, nil
+	sl.A, sl.B = int32(q.FailedU), int32(q.FailedV)
+	return wire.TDistAvoiding, sl
 }
 
 // shedWire passes a wire request through the same load shedder as the HTTP
@@ -89,36 +107,20 @@ func (s *Server) WirePoint(ctx context.Context, typ byte, q *wire.PointQuery) (i
 	return d, werr
 }
 
-func (s *Server) wirePoint(ctx context.Context, typ byte, q *wire.PointQuery) (int32, *wire.Error) {
+func (s *Server) wirePoint(ctx context.Context, typ byte, pq *wire.PointQuery) (int32, *wire.Error) {
 	work, werr := s.shedWire(ctx)
 	if werr != nil {
 		return 0, werr
 	}
 	defer work.release()
-	k, err := keyForPoint(typ, q)
-	if err != nil {
-		s.m.errs.Inc()
-		return 0, &wire.Error{Code: http.StatusBadRequest, Msg: err.Error()}
+	q, err := fromWire(typ, pq)
+	var d int
+	if err == nil {
+		d, err = s.answerPoint(ctx, q)
 	}
-	v := int(q.V)
-	pool, err := s.poolForKey(ctx, k, &v)
 	if err != nil {
 		s.m.errs.Inc()
 		return 0, &wire.Error{Code: statusFor(err), Msg: err.Error()}
-	}
-	var d int
-	err = pool.Do(func(o *ftbfs.Oracle) error {
-		if typ == wire.TDist {
-			d = o.Dist(v)
-			return nil
-		}
-		var qerr error
-		d, qerr = o.DistAvoidingQuery(ftbfs.FailureQuery{V: v, FailedU: int(q.A), FailedV: int(q.B), Vertex: typ == wire.TDistAvoidingVertex})
-		return qerr
-	})
-	if err != nil {
-		s.m.errs.Inc()
-		return 0, &wire.Error{Code: http.StatusBadRequest, Msg: err.Error()}
 	}
 	s.m.queries.Inc()
 	return int32(d), nil
@@ -186,29 +188,13 @@ func (s *Server) WireBatch(ctx context.Context, slots []wire.BatchSlot) ([]int32
 	} else {
 		defer work.release()
 	}
-	var groups []*queryGroup
-	byKey := make(map[store.Key]*queryGroup)
-	for i := range slots {
-		sl := &slots[i]
+	groups := groupQueries(len(slots), func(i int) (Query, error) {
 		typ := byte(wire.TDistAvoiding)
-		if sl.Vertex {
+		if slots[i].Vertex {
 			typ = wire.TDistAvoidingVertex
 		}
-		k, err := keyForPoint(typ, &sl.PointQuery)
-		if err != nil {
-			dists[i] = ftbfs.Unreachable
-			errs[i] = err.Error()
-			continue
-		}
-		gr := byKey[k]
-		if gr == nil {
-			gr = &queryGroup{key: k}
-			byKey[k] = gr
-			groups = append(groups, gr)
-		}
-		gr.slots = append(gr.slots, i)
-		gr.queries = append(gr.queries, ftbfs.FailureQuery{V: int(sl.V), FailedU: int(sl.A), FailedV: int(sl.B), Vertex: sl.Vertex})
-	}
+		return fromWire(typ, &slots[i].PointQuery)
+	}, dists, errs)
 	s.m.queries.Add(s.answerGroups(ctx, groups, dists, errs))
 	out := make([]int32, len(dists))
 	var failed bool

@@ -160,6 +160,13 @@ func TestWireBatchMatchesHTTPBatch(t *testing.T) {
 	vpoint := func(v, w int) wire.PointQuery {
 		return wire.PointQuery{FP: fp, Source: 0, V: int32(v), A: int32(w), B: -1}
 	}
+	negZero, stray, src99 := math.Copysign(0, -1), 0.7, 99
+	negZeroEps := point(7, fe[0], fe[1])
+	negZeroEps.EpsBits = math.Float64bits(negZero)
+	strayEps := vpoint(11, 5)
+	strayEps.EpsBits = math.Float64bits(stray)
+	badSource := point(7, fe[0], fe[1])
+	badSource.Source = int32(src99)
 	slots := []wire.BatchSlot{
 		{PointQuery: point(7, fe[0], fe[1])},
 		{PointQuery: vpoint(11, 5), Vertex: true},
@@ -167,6 +174,9 @@ func TestWireBatchMatchesHTTPBatch(t *testing.T) {
 		{PointQuery: point(1, 0, 0)},             // bad: not an edge
 		{PointQuery: vpoint(2, 0), Vertex: true}, // bad: the source cannot fail
 		{PointQuery: point(39, fe[1], fe[0])},    // reversed endpoints, same edge
+		{PointQuery: negZeroEps},                 // eps -0 folds into +0
+		{PointQuery: strayEps, Vertex: true},     // a vertex slot ignores eps
+		{PointQuery: badSource},                  // bad: source out of range
 	}
 	dists, werrs, werr, err := wc.Batch(context.Background(), slots)
 	if err != nil || werr != nil {
@@ -181,6 +191,9 @@ func TestWireBatchMatchesHTTPBatch(t *testing.T) {
 		{V: 1, Fail: [2]int{0, 0}},
 		{V: 2, FailedVertex: &fwSrc},
 		{V: 39, Fail: [2]int{fe[1], fe[0]}},
+		{V: 7, Eps: &negZero, Fail: fe},
+		{V: 11, Eps: &stray, FailedVertex: &fw},
+		{V: 7, Source: &src99, Fail: fe},
 	}}
 	var httpResp BatchQueryResponse
 	code, body := postJSON(t, ts.URL+"/batch-query", httpReq, &httpResp)
@@ -206,7 +219,7 @@ func TestWireBatchMatchesHTTPBatch(t *testing.T) {
 			t.Fatalf("slot %d: wire error %q != http error %q", i, we, he)
 		}
 	}
-	if werrs == nil || werrs[3] == "" || werrs[4] == "" {
+	if werrs == nil || werrs[3] == "" || werrs[4] == "" || werrs[8] == "" {
 		t.Fatalf("bad slots did not error over wire: %v", werrs)
 	}
 }
@@ -262,5 +275,20 @@ func TestWireErrorStatuses(t *testing.T) {
 	}
 	if werr == nil || werr.Code != http.StatusBadRequest {
 		t.Fatalf("inf eps: %v, want code 400", werr)
+	}
+	// A handoff key goes through the same key checks as a query: an unknown
+	// algorithm code or a NaN ε is a malformed key (400, as on
+	// GET /handoff/record), not a structure this shard happens not to hold.
+	for _, k := range []wire.HandoffKey{
+		{FP: fp, EpsBits: epsBits, Alg: 99},
+		{FP: fp, EpsBits: math.Float64bits(math.NaN())},
+	} {
+		_, werr, err := wc.FetchRecord(ctx, &k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if werr == nil || werr.Code != http.StatusBadRequest {
+			t.Fatalf("handoff key %+v: %v, want code 400", k, werr)
+		}
 	}
 }
