@@ -122,12 +122,25 @@ func BenchmarkLCA(b *testing.B) {
 	}
 }
 
+// BenchmarkReplacementAllPairs times Phase S0 alone (trees, failure sweep
+// and Pcons for every uncovered pair) on a lower-bound instance and on the
+// 45×45 grid of the batch workload, from one of its quadrant sources.
 func BenchmarkReplacementAllPairs(b *testing.B) {
 	lb := gen.LowerBoundParams(3, 4, 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		en := replacement.NewEngine(lb.G, lb.S)
-		en.AllPairs()
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		s    int
+	}{
+		{"lowerbound", lb.G, lb.S},
+		{"grid45", gen.Grid(45, 45), 11*45 + 11},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				replacement.NewEngine(c.g, c.s).AllPairs()
+			}
+		})
 	}
 }
 

@@ -172,31 +172,61 @@ func TestDistAvoidingBannedSource(t *testing.T) {
 	}
 }
 
-func TestCanonicalPathAvoiding(t *testing.T) {
+// A banned source reaches nothing, not even itself: DistAvoiding must agree
+// with DistancesAvoiding when the source is also the target.
+func TestDistAvoidingBannedSourceIsTarget(t *testing.T) {
+	g := grid3x3()
+	banned := graph.NewVertexSet(g.N())
+	banned.Add(4)
+	r := Restriction{BannedEdge: graph.NoEdge, BannedVertices: banned}
+	sc := NewScratch(g.N())
+	if d := sc.DistAvoiding(g, 4, 4, r); d != Unreachable {
+		t.Fatalf("banned source as target: DistAvoiding = %d, want Unreachable", d)
+	}
+	out := sc.DistancesAvoiding(g, 4, r, make([]int32, g.N()))
+	if out[4] != Unreachable {
+		t.Fatalf("banned source: DistancesAvoiding[4] = %d, want Unreachable", out[4])
+	}
+}
+
+func TestLevelsBoundedAndBanned(t *testing.T) {
 	g := grid3x3()
 	sc := NewScratch(g.N())
-	p := sc.CanonicalPathAvoiding(g, 8, 0, Restriction{BannedEdge: graph.NoEdge})
-	if len(p) != 5 || p[0] != 8 || p[4] != 0 {
-		t.Fatalf("bad path %v", p)
-	}
-	for i := 0; i+1 < len(p); i++ {
-		if !g.HasEdge(int(p[i]), int(p[i+1])) {
-			t.Fatalf("non-edge %d-%d in path %v", p[i], p[i+1], p)
+	sc.Levels(g.SubgraphCSR(nil), 8, 2, []int32{4})
+	want := []int32{Unreachable, Unreachable, 2, Unreachable, Unreachable, 1, 2, 1, 0}
+	for v, w := range want {
+		if got := sc.Level(int32(v)); got != w {
+			t.Fatalf("Level(%d) = %d, want %d", v, got, w)
 		}
 	}
-	// Deterministic: same call twice gives identical path.
-	q := sc.CanonicalPathAvoiding(g, 8, 0, Restriction{BannedEdge: graph.NoEdge})
-	for i := range p {
-		if p[i] != q[i] {
-			t.Fatal("canonical path not deterministic")
+}
+
+// With an unbounded radius Levels is DistancesAvoiding with banned vertices.
+func TestLevelsMatchesDistancesAvoiding(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for seed := int64(0); seed < 5; seed++ {
+		g := randomConnected(t, 60, int(seed)*25, seed)
+		c := g.SubgraphCSR(nil)
+		sc, ref := NewScratch(g.N()), NewScratch(g.N())
+		want := make([]int32, g.N())
+		for trial := 0; trial < 10; trial++ {
+			root := rng.Intn(g.N())
+			var ban []int32
+			set := graph.NewVertexSet(g.N())
+			for len(ban) < 8 {
+				x := int32(rng.Intn(g.N()))
+				if int(x) != root && set.Add(x) {
+					ban = append(ban, x)
+				}
+			}
+			sc.Levels(c, root, int32(g.N()), ban)
+			ref.DistancesAvoiding(g, root, Restriction{BannedEdge: graph.NoEdge, BannedVertices: set}, want)
+			for v := range want {
+				if got := sc.Level(int32(v)); got != want[v] {
+					t.Fatalf("seed %d trial %d: Level(%d) = %d, want %d", seed, trial, v, got, want[v])
+				}
+			}
 		}
-	}
-	// Unreachable target gives nil.
-	banned := graph.NewVertexSet(g.N())
-	banned.Add(1)
-	banned.Add(3)
-	if sc.CanonicalPathAvoiding(g, 0, 4, Restriction{BannedEdge: graph.NoEdge, BannedVertices: banned}) != nil {
-		t.Fatal("expected nil path")
 	}
 }
 

@@ -29,7 +29,7 @@ func TestFromCSRMatchesFrom(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g := randomConnected(t, 80, 120, seed)
 		want := From(g, 0)
-		got := FromCSR(g.CSRView(), 0)
+		got := FromCSR(g.SubgraphCSR(nil), 0)
 		for v := 0; v < g.N(); v++ {
 			if got.Dist[v] != want.Dist[v] {
 				t.Fatalf("seed %d: Dist[%d] = %d, want %d", seed, v, got.Dist[v], want.Dist[v])
@@ -67,7 +67,7 @@ func TestRepairMatchesFullSearch(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		extra := int(seed) * 20 // seed 0: a tree, where every failure disconnects
 		g := randomConnected(t, 60, extra, seed)
-		csr := g.CSRView()
+		csr := g.SubgraphCSR(nil)
 		bt := From(g, 0)
 		r := NewRepair(g.N())
 		sc := NewScratch(g.N())
@@ -94,7 +94,7 @@ func TestRepairMatchesFullSearch(t *testing.T) {
 // is not polluted by the first (epoch stamping, bucket reset).
 func TestRepairScratchReuse(t *testing.T) {
 	g := randomConnected(t, 50, 40, 7)
-	csr := g.CSRView()
+	csr := g.SubgraphCSR(nil)
 	bt := From(g, 0)
 	r := NewRepair(g.N())
 	sc := NewScratch(g.N())

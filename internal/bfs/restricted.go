@@ -88,15 +88,16 @@ func (sc *Scratch) DistancesAvoiding(g *graph.Graph, s int, r Restriction, out [
 }
 
 // DistAvoiding returns dist(s, target, G under restriction), or Unreachable.
-// It early-exits as soon as the target is settled.
+// It early-exits as soon as the target is settled. A banned source reaches
+// nothing, itself included, exactly as in DistancesAvoiding.
 func (sc *Scratch) DistAvoiding(g *graph.Graph, s, target int, r Restriction) int32 {
+	if r.BannedVertices != nil && r.BannedVertices.Contains(int32(s)) {
+		return Unreachable
+	}
 	if s == target {
 		return 0
 	}
 	sc.reset()
-	if r.BannedVertices != nil && r.BannedVertices.Contains(int32(s)) {
-		return Unreachable
-	}
 	sc.set(int32(s), 0)
 	sc.queue = append(sc.queue, int32(s))
 	for head := 0; head < len(sc.queue); head++ {
@@ -115,65 +116,39 @@ func (sc *Scratch) DistAvoiding(g *graph.Graph, s, target int, r Restriction) in
 	return Unreachable
 }
 
-// CanonicalPathAvoiding returns the canonical shortest path from root to
-// target in G under the restriction, as a vertex sequence starting at root,
-// or nil if target is unreachable. Canonical means: BFS rooted at root with
-// min-index parents, then the unique tree path. The replacement-path engine
-// roots this at the detour's terminal v so that detours of the same terminal
-// share suffixes deterministically (see package comment).
-func (sc *Scratch) CanonicalPathAvoiding(g *graph.Graph, root, target int, r Restriction) []int32 {
+// Levels runs a BFS from root over c that never enters a vertex of banned
+// and settles levels 0…radius only. Afterwards Level reports each vertex's
+// distance from root in c minus banned when it is at most radius. Banned
+// vertices are stamped up front with an Unreachable level, so the search
+// itself needs no membership test. root must not be in banned.
+func (sc *Scratch) Levels(c *graph.CSR, root int, radius int32, banned []int32) {
 	sc.reset()
-	if r.BannedVertices != nil &&
-		(r.BannedVertices.Contains(int32(root)) || r.BannedVertices.Contains(int32(target))) {
-		return nil
-	}
-	if root == target {
-		return []int32{int32(root)}
+	for _, x := range banned {
+		sc.set(x, Unreachable)
 	}
 	sc.set(int32(root), 0)
 	sc.queue = append(sc.queue, int32(root))
-	found := false
-	for head := 0; head < len(sc.queue) && !found; head++ {
+	for head := 0; head < len(sc.queue); head++ {
 		u := sc.queue[head]
-		for _, a := range g.Neighbors(int(u)) {
-			if sc.seen(a.To) || r.blocks(a) {
+		du := sc.dist[u]
+		if du == radius {
+			break // the queue is level-ordered: nothing later is below radius
+		}
+		for _, a := range c.ArcsOf(u) {
+			if sc.seen(a.To) {
 				continue
 			}
-			sc.set(a.To, sc.dist[u]+1)
+			sc.set(a.To, du+1)
 			sc.queue = append(sc.queue, a.To)
-			if a.To == int32(target) {
-				found = true
-			}
 		}
 	}
-	if !found {
-		return nil
+}
+
+// Level returns the level of v found by the last Levels call, or
+// Unreachable for banned vertices and vertices beyond its radius.
+func (sc *Scratch) Level(v int32) int32 {
+	if !sc.seen(v) {
+		return Unreachable
 	}
-	// Walk back from target choosing the min-index predecessor at each level
-	// (adjacency sorted ⇒ first match is minimal).
-	path := make([]int32, sc.dist[target]+1)
-	x := int32(target)
-	for i := len(path) - 1; i >= 0; i-- {
-		path[i] = x
-		if i == 0 {
-			break
-		}
-		prev := int32(-1)
-		for _, a := range g.Neighbors(int(x)) {
-			// The arc must be traversable in the restricted graph and one
-			// level closer to the root.
-			if r.blocks(a) {
-				continue
-			}
-			if sc.seen(a.To) && sc.dist[a.To] == sc.dist[x]-1 {
-				prev = a.To
-				break
-			}
-		}
-		if prev < 0 {
-			panic("bfs: broken predecessor chain")
-		}
-		x = prev
-	}
-	return path
+	return sc.dist[v]
 }

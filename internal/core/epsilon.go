@@ -37,9 +37,9 @@ func BuildWithEngine(en *replacement.Engine, eps float64, opt Options) (*Structu
 }
 
 // sharedS0 caches the ε-independent products of Phase S0 across the builds
-// of a same-source group: the pair interference index (with its memoised
-// π-intersection cache) and the I1/I2 interference split. A fresh value is
-// used per Build; BuildGroup shares one across all its items.
+// of a same-source group: the pair interference index and the I1/I2
+// interference split. A fresh value is used per Build; BuildGroup shares one
+// across all its items.
 type sharedS0 struct {
 	ix     *pairIndex
 	i1, i2 []int32

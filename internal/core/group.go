@@ -26,11 +26,12 @@ func (e *ItemError) Unwrap() error { return e.Err }
 
 // BuildGroup constructs one structure per item, all for the engine's (G, S),
 // sharing everything that does not depend on ε: the canonical trees carried
-// by the engine, the memoised Phase S0 replacement-path pairs, and — the big
-// win — a single LastUnprotectedMulti reinforcement sweep covering every
-// item instead of one O(n·m) sweep per item. Each returned structure is
-// identical (byte-identical under EncodeStructure) to the one Build would
-// produce for the same (G, S, eps, options).
+// by the engine, the memoised Phase S0 replacement-path pairs, and a single
+// LastUnprotectedMulti reinforcement sweep covering every item instead of
+// one failure sweep (O(Σ_w deg(w)·depth(w)) of subtree repairs) per item.
+// Each returned structure is identical (byte-identical under
+// EncodeStructure) to the one Build would produce for the same
+// (G, S, eps, options).
 //
 // Per-item Workers options are ignored: the reinforcement sweep is shared
 // across the group, and batch callers parallelise across sources instead.

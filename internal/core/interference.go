@@ -17,14 +17,12 @@ type pairIndex struct {
 
 	internal [][]int32 // internal detour vertices per pair (detour minus endpoints)
 	byVertex [][]int32 // vertex → indices of pairs whose detour interior contains it
-	byV      [][]int32 // terminal v → indices of its pairs
 
-	inSet   []int32 // iteration-stamped membership marks for classify
-	isA     []int32 // stamped type-A marks for classify's second pass
-	interf  []int32 // stamped has-interference marks for classify
-	seenT   []int32 // stamped per-terminal dedup marks, indexed by vertex
-	stamp   int32
-	piCache map[int64]bool // memoised π-intersection queries (pair, terminal)
+	inSet  []int32 // iteration-stamped membership marks for classify
+	isA    []int32 // stamped type-A marks for classify's second pass
+	interf []int32 // stamped has-interference marks for classify
+	seenT  []int32 // stamped per-terminal dedup marks, indexed by vertex
+	stamp  int32
 
 	ws *Workspace // scratch for the Phase S2 hot path; lazily created
 }
@@ -46,12 +44,10 @@ func buildPairIndex(en *replacement.Engine, pairs []*replacement.Pair) *pairInde
 		pairs:    pairs,
 		internal: make([][]int32, len(pairs)),
 		byVertex: make([][]int32, n),
-		byV:      make([][]int32, n),
 		inSet:    make([]int32, len(pairs)),
 		isA:      make([]int32, len(pairs)),
 		interf:   make([]int32, len(pairs)),
 		seenT:    make([]int32, n),
-		piCache:  make(map[int64]bool),
 	}
 	for i, p := range pairs {
 		if len(p.Detour) > 2 {
@@ -60,7 +56,6 @@ func buildPairIndex(en *replacement.Engine, pairs []*replacement.Pair) *pairInde
 		for _, z := range ix.internal[i] {
 			ix.byVertex[z] = append(ix.byVertex[z], int32(i))
 		}
-		ix.byV[p.V] = append(ix.byV[p.V], int32(i))
 	}
 	return ix
 }
@@ -72,21 +67,15 @@ func (ix *pairIndex) related(i, j int32) bool {
 
 // piIntersects reports whether the detour of pair i intersects
 // π(LCA(v_i,t), t) \ {LCA} — equivalently (see Phase S1 notes in DESIGN.md)
-// whether some interior detour vertex is an ancestor of t.
+// whether some interior detour vertex is an ancestor of t. Each check is an
+// O(1) preorder-interval test, so the answer costs at most |detour| of them.
 func (ix *pairIndex) piIntersects(i int32, t int32) bool {
-	key := int64(i)<<32 | int64(t)
-	if v, ok := ix.piCache[key]; ok {
-		return v
-	}
-	res := false
 	for _, z := range ix.internal[i] {
 		if ix.en.T.IsAncestor(z, t) {
-			res = true
-			break
+			return true
 		}
 	}
-	ix.piCache[key] = res
-	return res
+	return false
 }
 
 // splitI1I2 partitions all pairs into I1 (pairs with at least one

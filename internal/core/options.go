@@ -73,9 +73,10 @@ type Options struct {
 	SkipPhase1 bool
 	SkipPhase2 bool
 
-	// Workers parallelises the final reinforcement sweep (the dominant
-	// O(n·m) pass): 0/1 = sequential, negative = GOMAXPROCS, otherwise the
-	// given worker count. The result is identical either way.
+	// Workers parallelises the final reinforcement sweep (one subtree
+	// repair per tree edge, O(Σ_w deg(w)·depth(w)) in all): 0/1 =
+	// sequential, negative = GOMAXPROCS, otherwise the given worker count.
+	// The result is identical either way.
 	Workers int
 
 	// Workspace, when non-nil, supplies the scratch buffers of the Epsilon

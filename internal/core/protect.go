@@ -31,11 +31,12 @@ func LastUnprotected(en *replacement.Engine, H *graph.EdgeSet) *graph.EdgeSet {
 }
 
 // LastUnprotectedMulti computes LastUnprotected for several candidate
-// structures in ONE failure sweep: the per-failure restricted BFS — the
-// dominant O(n·m) cost — is shared, and only the O(deg(v)) protection probes
-// run once per structure. This is the batch orchestrator's reinforcement
-// path: all ε values of one source are swept together. Each returned set is
-// identical to LastUnprotected(en, hs[i]).
+// structures in ONE failure sweep: the per-failure subtree repair — in all
+// O(Σ_w deg(w)·depth(w)) ≤ O(m·D) for a BFS tree of depth D — is shared, and
+// only the O(deg(v)) protection probes run once per structure. This is the
+// batch orchestrator's reinforcement path: all ε values of one source are
+// swept together. Each returned set is identical to
+// LastUnprotected(en, hs[i]).
 func LastUnprotectedMulti(en *replacement.Engine, hs []*graph.EdgeSet) []*graph.EdgeSet {
 	outs := make([]*graph.EdgeSet, len(hs))
 	for i := range outs {

@@ -69,19 +69,9 @@ func NewCSR(n int, rowStart []int32, arcs []Arc) (*CSR, error) {
 	return &CSR{n: int32(n), RowStart: rowStart, Arcs: arcs}, nil
 }
 
-// CSRView returns the flat CSR adjacency of the whole graph. It is built on
-// the first call and cached (the graph must be frozen, hence immutable), so
-// repeated callers share one view.
-func (g *Graph) CSRView() *CSR {
-	if !g.frozen {
-		panic("graph: CSRView before Freeze")
-	}
-	g.csrOnce.Do(func() { g.csr = g.buildCSR(nil) })
-	return g.csr
-}
-
 // SubgraphCSR extracts the subgraph with edge set allowed as its own CSR:
-// only arcs whose EdgeID is in allowed are packed. The extraction is O(n+m)
+// only arcs whose EdgeID is in allowed are packed; a nil allowed packs all
+// of G. The extraction is O(n+m)
 // once; afterwards a search over the subgraph touches only its own arcs,
 // with zero membership tests. The graph must be frozen.
 func (g *Graph) SubgraphCSR(allowed *EdgeSet) *CSR {

@@ -13,7 +13,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
 )
 
 // EdgeID identifies an undirected edge within a Graph. IDs are dense:
@@ -84,9 +83,6 @@ type Graph struct {
 	lineage uint64
 	fp      uint64
 	fpSet   bool
-
-	csrOnce sync.Once
-	csr     *CSR // cached CSRView; valid only after Freeze
 }
 
 // New returns an empty graph on n vertices.

@@ -50,10 +50,12 @@ type Engine struct {
 
 	TreeEdges *graph.EdgeSet // edges of T0
 
-	sc      *bfs.Scratch
-	distE   []int32 // dist(s, ·, G\{e}) for the failure being processed
-	banned  *graph.VertexSet
-	workers int // preferred parallelism for failure sweeps (0/1 = serial)
+	csr     *graph.CSR   // flat adjacency of G; source-independent, kept across Reset
+	rep     *bfs.Repair  // subtree repair for the sequential failure sweep
+	sc      *bfs.Scratch // Pcons' bounded search from the terminal
+	distE   []int32      // dist(s, ·, G\{e}) for the failure being processed
+	pi      []int32      // π(s,v) of the pair Pcons is constructing
+	workers int          // preferred parallelism for failure sweeps (0/1 = serial)
 
 	pairs      []*Pair // memoised AllPairs result; valid while pairsReady
 	pairsReady bool
@@ -70,20 +72,22 @@ func (en *Engine) Workers() int { return en.workers }
 // NewEngine builds the engine for (g, s). g must be frozen.
 func NewEngine(g *graph.Graph, s int) *Engine {
 	en := &Engine{
-		G:      g,
-		sc:     bfs.NewScratch(g.N()),
-		distE:  make([]int32, g.N()),
-		banned: graph.NewVertexSet(g.N()),
+		G:     g,
+		csr:   g.SubgraphCSR(nil),
+		rep:   bfs.NewRepair(g.N()),
+		sc:    bfs.NewScratch(g.N()),
+		distE: make([]int32, g.N()),
+		pi:    make([]int32, g.N()),
 	}
 	en.Reset(s)
 	return en
 }
 
 // Reset rebinds the engine to a new source on the same graph, recomputing the
-// canonical trees but recycling every scratch allocation (BFS scratch,
-// distance array, banned-vertex set). The worker preference is preserved; the
-// AllPairs memo is invalidated. Batch builders use this to amortise the
-// scratch across one worker's whole stream of sources.
+// canonical trees but recycling every scratch allocation (the CSR of G, the
+// repair and search scratch, the distance array). The worker preference is
+// preserved; the AllPairs memo is invalidated. Batch builders use this to
+// amortise the scratch across one worker's whole stream of sources.
 func (en *Engine) Reset(s int) {
 	bt := bfs.From(en.G, s)
 	en.S = s
@@ -95,17 +99,34 @@ func (en *Engine) Reset(s int) {
 }
 
 // ForEachFailure iterates over every tree edge e (every failure that can
-// change distances), computing dist(s, ·, G\{e}) once per edge and invoking
-// fn(e, child endpoint, distances). The distance slice is reused between
-// calls: fn must not retain it.
+// change distances) in increasing order of its child endpoint and invokes
+// fn(e, child endpoint, dist(s, ·, G\{e})). Only the subtree below e can
+// change distance, so each failure costs one bfs.Repair of that subtree —
+// O(Σ_{w ∈ subtree} deg(w)) — written into a copy of the intact distances
+// and undone after fn returns. The distance slice is reused between calls:
+// fn must neither modify nor retain it.
 func (en *Engine) ForEachFailure(fn func(e graph.EdgeID, child int32, distE []int32)) {
+	copy(en.distE, en.BT.Dist)
 	for v := 0; v < en.G.N(); v++ {
-		id := en.BT.ParentEdge[v]
-		if id == graph.NoEdge {
-			continue
+		if en.BT.ParentEdge[v] != graph.NoEdge {
+			en.visitFailure(en.rep, en.distE, int32(v), fn)
 		}
-		en.sc.DistancesAvoiding(en.G, en.S, bfs.Restriction{BannedEdge: id}, en.distE)
-		fn(id, int32(v), en.distE)
+	}
+}
+
+// visitFailure repairs the subtree below the tree edge whose child endpoint
+// is c into dist (which holds the intact distances), calls fn and restores
+// the intact values.
+func (en *Engine) visitFailure(r *bfs.Repair, dist []int32, c int32, fn func(e graph.EdgeID, child int32, distE []int32)) {
+	id := en.BT.ParentEdge[c]
+	sub := en.T.Subtree(c)
+	r.Run(en.csr, en.BT.Dist, sub, id, -1)
+	for _, w := range sub {
+		dist[w] = r.Dist(w)
+	}
+	fn(id, c, dist)
+	for _, w := range sub {
+		dist[w] = en.BT.Dist[w]
 	}
 }
 

@@ -9,12 +9,13 @@ import (
 	"ftbfs/internal/graph"
 )
 
-// ForEachFailureParallel is ForEachFailure with the per-failure BFS passes
-// spread across workers goroutines (≤ 0 means GOMAXPROCS). The failures are
-// independent — one BFS on G\{e} each — so this is an embarrassingly
-// parallel sweep; fn must be safe for concurrent invocation and must not
-// retain distE. The set of (e, child, distE) triples delivered is identical
-// to the sequential method's, in unspecified order.
+// ForEachFailureParallel is ForEachFailure with the per-failure subtree
+// repairs spread across workers goroutines (≤ 0 means GOMAXPROCS). The
+// failures are independent, so each worker keeps its own repair scratch and
+// its own copy of the intact distances; fn must be safe for concurrent
+// invocation and must neither modify nor retain distE. The set of
+// (e, child, distE) triples delivered is identical to the sequential
+// method's, in unspecified order.
 func (en *Engine) ForEachFailureParallel(workers int, fn func(e graph.EdgeID, child int32, distE []int32)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -36,17 +37,14 @@ func (en *Engine) ForEachFailureParallel(workers int, fn func(e graph.EdgeID, ch
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := bfs.NewScratch(en.G.N())
-			dist := make([]int32, en.G.N())
+			r := bfs.NewRepair(en.G.N())
+			dist := append([]int32(nil), en.BT.Dist...)
 			for {
 				i := next.Add(1) - 1
 				if int(i) >= len(children) {
 					return
 				}
-				child := children[i]
-				id := en.BT.ParentEdge[child]
-				sc.DistancesAvoiding(en.G, en.S, bfs.Restriction{BannedEdge: id}, dist)
-				fn(id, child, dist)
+				en.visitFailure(r, dist, children[i], fn)
 			}
 		}()
 	}

@@ -3,7 +3,6 @@ package replacement
 import (
 	"fmt"
 
-	"ftbfs/internal/bfs"
 	"ftbfs/internal/graph"
 	"ftbfs/internal/paths"
 )
@@ -14,65 +13,62 @@ import (
 // divergence point from π(s,v) is as close to s as possible (Claim 4.4).
 //
 // Implementation: with π(s,v) = [u_0=s, …, u_k=v] and e = (u_i, u_{i+1}),
-// let G_j(v) = G \ (V(π(u_j, u_k)) \ {u_j, u_k}). dist(s,v,G_j(v)\{e}) is
-// non-increasing in j and bounded below by target = dist(s,v,G\{e}), so the
-// minimal j* with equality (the paper's divergence index) is found by
-// binary search. By Observation 3.2 the detour segment D(P) then avoids all
-// of π(s,v) except its endpoints d = u_{j*} and v, so it is extracted as
-// the canonical shortest d–v path in G minus V(π(s,v))\{d,v}, rooted at v
-// (rooting detours of the same terminal in near-identical graphs realises
-// the W-consistency that Claim 4.6 relies on).
+// one BFS rooted at v in G \ (V(π(s,v)) \ {v}), bounded to radius
+// target−1, measures every candidate detour at once: δ_j = 1 + the least
+// level of a neighbour of u_j reached without arc e is the length of the
+// shortest u_j–v path that leaves π(s,v) at once and never returns before v.
+// Every π(s,u_j) ◦ detour with j ≤ i avoids e, so j + δ_j ≥ target; and
+// splitting any shortest replacement path at its last π-vertex before v
+// shows that the least j with j + δ_j = target is the paper's divergence
+// index j* (the least j for which G_j(v)\{e} still has an s–v path of
+// length target, G_j(v) = G \ (V(π(u_j, u_k)) \ {u_j, u_k})). By
+// Observation 3.2 the detour D(P) from d = u_{j*} avoids π(s,v) except at
+// its endpoints; it is the canonical shortest d–v path in G minus
+// V(π(s,v))\{d,v} rooted at v, walked back from d by min-index
+// predecessors. Levels below δ_{j*} are the same with and without d in the
+// graph, so the bounded search already holds every level that walk reads.
+// Rooting detours of the same terminal in near-identical graphs realises
+// the W-consistency that Claim 4.6 relies on.
 //
 // target must equal dist(s,v,G\{e}) (finite), child the deeper endpoint
 // of e.
 func (en *Engine) Pcons(v int32, e graph.EdgeID, child int32, target int32) *Pair {
-	pi := en.BT.PathTo(int(v)) // π(s,v)
-	k := len(pi) - 1
+	k := int(en.T.Depth[v])
+	pi := en.pi[:k+1] // π(s,v)
+	for t, x := k, v; t >= 0; t-- {
+		pi[t] = x
+		x = en.BT.Parent[x]
+	}
 	i := int(en.T.Depth[child]) - 1 // e = (u_i, u_{i+1})
 	if i < 0 || i >= k || pi[i+1] != child {
 		panic(fmt.Sprintf("replacement: edge child %d (depth %d) not on π(s,%d)", child, en.T.Depth[child], v))
 	}
 
-	// probe(j) = dist(s, v, G_j(v)\{e})
-	probe := func(j int) int32 {
-		en.banned.Clear()
-		for t := j + 1; t < k; t++ { // interior of π(u_j, v)
-			en.banned.Add(pi[t])
-		}
-		return en.sc.DistAvoiding(en.G, en.S, int(v),
-			bfs.Restriction{BannedEdge: e, BannedVertices: en.banned})
-	}
-
-	lo, hi := 0, i
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if probe(mid) == target {
-			hi = mid
-		} else {
-			lo = mid + 1
+	en.sc.Levels(en.csr, int(v), target-1, pi[:k])
+	// j* is the least j ≤ i whose detour length δ_j reaches target − j:
+	// some neighbour of u_j sits at level target − j − 1.
+	jstar := -1
+	for j := 0; j <= i && jstar < 0; j++ {
+		if en.exitAt(pi[j], e, target-int32(j)-1) >= 0 {
+			jstar = j
 		}
 	}
-	jstar := lo
-	if jstar == i && probe(i) != target {
+	if jstar < 0 {
 		panic(fmt.Sprintf("replacement: no unique-divergence replacement path for ⟨%d,%v⟩", v, en.G.EdgeByID(e)))
 	}
 	d := pi[jstar]
 
-	// Detour: canonical shortest d–v path avoiding every other π(s,v)
-	// vertex (Observation 3.2), walked from the v side.
-	en.banned.Clear()
-	for t := 0; t <= k; t++ {
-		if t != jstar && t != k {
-			en.banned.Add(pi[t])
+	// Detour: walk back from d towards the root v, one level per step.
+	detour := make(paths.Path, target-int32(jstar)+1)
+	detour[0] = d
+	for t := 1; t < len(detour); t++ {
+		next := en.exitAt(detour[t-1], e, int32(len(detour)-1-t))
+		if next < 0 {
+			panic(fmt.Sprintf("replacement: no detour from divergence point %d to %d", d, v))
 		}
+		detour[t] = next
 	}
-	rev := en.sc.CanonicalPathAvoiding(en.G, int(v), int(d),
-		bfs.Restriction{BannedEdge: e, BannedVertices: en.banned})
-	if rev == nil {
-		panic(fmt.Sprintf("replacement: no detour from divergence point %d to %d", d, v))
-	}
-	detour := paths.Path(rev).Reverse() // d → v
-	if got := int32(jstar) + int32(detour.Len()); got != target {
+	if got := int32(jstar) + int32(detour.Len()); got != target || detour.Last() != v {
 		panic(fmt.Sprintf("replacement: detour length %d + prefix %d != target %d (v=%d, e=%v)",
 			detour.Len(), jstar, target, v, en.G.EdgeByID(e)))
 	}
@@ -94,6 +90,17 @@ func (en *Engine) Pcons(v int32, e graph.EdgeID, child int32, target int32) *Pai
 		Detour:    detour,
 		LastID:    lastID,
 	}
+}
+
+// exitAt returns the smallest-id neighbour of x at the given level of the
+// last bounded search, reached by an arc other than e, or -1 if none is.
+func (en *Engine) exitAt(x int32, e graph.EdgeID, level int32) int32 {
+	for _, a := range en.csr.ArcsOf(x) {
+		if a.ID != e && en.sc.Level(a.To) == level {
+			return a.To
+		}
+	}
+	return -1
 }
 
 // FullPath reconstructs the complete replacement path π(s,Div)◦Detour.
