@@ -189,10 +189,11 @@ func TestDistAvoidingBannedSourceIsTarget(t *testing.T) {
 	}
 }
 
+// A zero lower bound turns the bound into a plain radius.
 func TestLevelsBoundedAndBanned(t *testing.T) {
 	g := grid3x3()
 	sc := NewScratch(g.N())
-	sc.Levels(g.SubgraphCSR(nil), 8, 2, []int32{4})
+	sc.Levels(g.SubgraphCSR(nil), 8, 2, make([]int32, g.N()), []int32{4})
 	want := []int32{Unreachable, Unreachable, 2, Unreachable, Unreachable, 1, 2, 1, 0}
 	for v, w := range want {
 		if got := sc.Level(int32(v)); got != w {
@@ -201,7 +202,8 @@ func TestLevelsBoundedAndBanned(t *testing.T) {
 	}
 }
 
-// With an unbounded radius Levels is DistancesAvoiding with banned vertices.
+// With a zero lower bound and an unreachable bound Levels is
+// DistancesAvoiding with banned vertices.
 func TestLevelsMatchesDistancesAvoiding(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for seed := int64(0); seed < 5; seed++ {
@@ -219,11 +221,49 @@ func TestLevelsMatchesDistancesAvoiding(t *testing.T) {
 					ban = append(ban, x)
 				}
 			}
-			sc.Levels(c, root, int32(g.N()), ban)
+			sc.Levels(c, root, int32(g.N()), make([]int32, g.N()), ban)
 			ref.DistancesAvoiding(g, root, Restriction{BannedEdge: graph.NoEdge, BannedVertices: set}, want)
 			for v := range want {
 				if got := sc.Level(int32(v)); got != want[v] {
 					t.Fatalf("seed %d trial %d: Level(%d) = %d, want %d", seed, trial, v, got, want[v])
+				}
+			}
+		}
+	}
+}
+
+// With lb the true distances from some vertex s, Levels keeps exactly the
+// vertices y with lb[y] + dist(root, y) ≤ bound, at their exact level, and
+// reads Unreachable everywhere else.
+func TestLevelsPrunedByLowerBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for seed := int64(0); seed < 8; seed++ {
+		g := randomConnected(t, 80, int(seed)*20, seed)
+		c := g.SubgraphCSR(nil)
+		sc, ref := NewScratch(g.N()), NewScratch(g.N())
+		want := make([]int32, g.N())
+		for trial := 0; trial < 20; trial++ {
+			lb := Distances(g, rng.Intn(g.N()))
+			root := rng.Intn(g.N())
+			var ban []int32
+			set := graph.NewVertexSet(g.N())
+			for nb := rng.Intn(10); len(ban) < nb; {
+				x := int32(rng.Intn(g.N()))
+				if int(x) != root && set.Add(x) {
+					ban = append(ban, x)
+				}
+			}
+			bound := lb[root] + int32(rng.Intn(2*Eccentricity(g, root)+2)) - 1
+			sc.Levels(c, root, bound, lb, ban)
+			ref.DistancesAvoiding(g, root, Restriction{BannedEdge: graph.NoEdge, BannedVertices: set}, want)
+			for v := range want {
+				exp := Unreachable
+				if want[v] != Unreachable && lb[v]+want[v] <= bound {
+					exp = want[v]
+				}
+				if got := sc.Level(int32(v)); got != exp {
+					t.Fatalf("seed %d trial %d: Level(%d) = %d, want %d (lb %d, dist %d, bound %d)",
+						seed, trial, v, got, exp, lb[v], want[v], bound)
 				}
 			}
 		}

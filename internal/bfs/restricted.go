@@ -117,35 +117,51 @@ func (sc *Scratch) DistAvoiding(g *graph.Graph, s, target int, r Restriction) in
 }
 
 // Levels runs a BFS from root over c that never enters a vertex of banned
-// and settles levels 0…radius only. Afterwards Level reports each vertex's
-// distance from root in c minus banned when it is at most radius. Banned
-// vertices are stamped up front with an Unreachable level, so the search
-// itself needs no membership test. root must not be in banned.
-func (sc *Scratch) Levels(c *graph.CSR, root int, radius int32, banned []int32) {
+// and prunes by a lower bound: a vertex y first reached at level L with
+// lb[y] + L > bound is stamped Unreachable and never expanded. Afterwards
+// Level reports, for every vertex y with lb[y] + dist(root, y) ≤ bound, its
+// distance from root in c minus banned, and Unreachable for every other
+// vertex. Banned vertices are stamped up front, so the search itself needs
+// no membership test. root must not be in banned.
+//
+// The pruning is exact when lb changes by at most one along every arc
+// (lb[x] ≤ lb[y] + 1 for an arc x–y), as distances from a fixed vertex do.
+// By induction on the level: a vertex y with lb[y] + dist(root, y) ≤ bound
+// has a predecessor x one level up with lb[x] + dist(root, x) ≤ bound, so x
+// is settled at its true level and expanded, and y is first reached at
+// dist(root, y) and kept. A vertex reached only above its true level would
+// have been kept at that level had it met the bound there, so it fails the
+// bound at both levels and is pruned.
+func (sc *Scratch) Levels(c *graph.CSR, root int, bound int32, lb, banned []int32) {
 	sc.reset()
 	for _, x := range banned {
 		sc.set(x, Unreachable)
+	}
+	if lb[root] > bound {
+		sc.set(int32(root), Unreachable)
+		return
 	}
 	sc.set(int32(root), 0)
 	sc.queue = append(sc.queue, int32(root))
 	for head := 0; head < len(sc.queue); head++ {
 		u := sc.queue[head]
-		du := sc.dist[u]
-		if du == radius {
-			break // the queue is level-ordered: nothing later is below radius
-		}
+		next := sc.dist[u] + 1
 		for _, a := range c.ArcsOf(u) {
 			if sc.seen(a.To) {
 				continue
 			}
-			sc.set(a.To, du+1)
+			if lb[a.To]+next > bound {
+				sc.set(a.To, Unreachable)
+				continue
+			}
+			sc.set(a.To, next)
 			sc.queue = append(sc.queue, a.To)
 		}
 	}
 }
 
 // Level returns the level of v found by the last Levels call, or
-// Unreachable for banned vertices and vertices beyond its radius.
+// Unreachable for banned vertices and vertices pruned by its bound.
 func (sc *Scratch) Level(v int32) int32 {
 	if !sc.seen(v) {
 		return Unreachable

@@ -7,16 +7,35 @@ import (
 	"ftbfs/internal/replacement"
 )
 
-// pairIndex holds the uncovered pairs of Phase S0 together with the inverted
-// detour-vertex index used to answer interference queries (Eq. 1 of the
-// paper): two pairs interfere when their detours share a vertex internal to
-// both.
+// pairIndex holds the uncovered pairs of Phase S0 together with a flat
+// interference index for Phase S1 (Eq. 1 of the paper: two pairs interfere
+// when their detours share a vertex internal to both).
+//
+// Every tree question Phase S1 asks is a preorder-interval test. A vertex x
+// of T0 owns the interval [PreIndex[x], PreIndex[x]+Size[x]) of its
+// subtree, so x is an ancestor-or-self of y iff that interval holds
+// PreIndex[y], and two tree edges are related (e ∼ e') iff the intervals of
+// their child endpoints overlap. The index therefore stores intervals, not
+// vertices, in flat int32 arrays, one CSR-style backing array per field:
+//
+//   - per pair p: its terminal term[p] and the interval [lo[p], hi[p]) of
+//     its failing edge's child endpoint;
+//   - per pair p: the intervals [zLo[k], zHi[k]) of its interior detour
+//     vertices z (the detour minus its endpoints), k ∈ [zOff[p], zOff[p+1]);
+//     zLo[k] = PreIndex[z] also names z;
+//   - per vertex, keyed by its preorder position x: the pairs whose detour
+//     interior contains it, k ∈ [bvOff[x], bvOff[x+1]), with the partner's
+//     term, lo and hi copied inline into bvTerm, bvLo, bvHi so an
+//     interference scan reads one contiguous run per field.
+//
+// All of it, the classify marks included, lives in one allocation.
 type pairIndex struct {
 	en    *replacement.Engine
 	pairs []*replacement.Pair
 
-	internal [][]int32 // internal detour vertices per pair (detour minus endpoints)
-	byVertex [][]int32 // vertex → indices of pairs whose detour interior contains it
+	term, lo, hi                      []int32 // per pair
+	zOff, zLo, zHi                    []int32 // per pair: interior intervals
+	bvOff, bvPair, bvTerm, bvLo, bvHi []int32 // per preorder position: containing pairs
 
 	inSet  []int32 // iteration-stamped membership marks for classify
 	isA    []int32 // stamped type-A marks for classify's second pass
@@ -37,41 +56,75 @@ func (ix *pairIndex) workspace() *Workspace {
 	return ix.ws
 }
 
+// interior returns the detour vertices of p strictly between its endpoints.
+func interior(p *replacement.Pair) []int32 {
+	if len(p.Detour) <= 2 {
+		return nil
+	}
+	return p.Detour[1 : len(p.Detour)-1]
+}
+
 func buildPairIndex(en *replacement.Engine, pairs []*replacement.Pair) *pairIndex {
-	n := en.G.N()
-	ix := &pairIndex{
-		en:       en,
-		pairs:    pairs,
-		internal: make([][]int32, len(pairs)),
-		byVertex: make([][]int32, n),
-		inSet:    make([]int32, len(pairs)),
-		isA:      make([]int32, len(pairs)),
-		interf:   make([]int32, len(pairs)),
-		seenT:    make([]int32, n),
+	n, np := en.G.N(), len(pairs)
+	t := en.T
+	total := 0
+	for _, p := range pairs {
+		total += len(interior(p))
 	}
+	slab := make([]int32, 7*np+1+6*total+2*n+1)
+	take := func(k int) []int32 {
+		s := slab[:k:k]
+		slab = slab[k:]
+		return s
+	}
+	ix := &pairIndex{en: en, pairs: pairs}
+	ix.term, ix.lo, ix.hi = take(np), take(np), take(np)
+	ix.zOff, ix.zLo, ix.zHi = take(np+1), take(total), take(total)
+	ix.bvOff = take(n + 1)
+	ix.bvPair, ix.bvTerm, ix.bvLo, ix.bvHi = take(total), take(total), take(total), take(total)
+	ix.inSet, ix.isA, ix.interf = take(np), take(np), take(np)
+	ix.seenT = take(n)
+
+	k := 0
 	for i, p := range pairs {
-		if len(p.Detour) > 2 {
-			ix.internal[i] = p.Detour[1 : len(p.Detour)-1]
+		ix.term[i] = p.V
+		ix.lo[i] = t.PreIndex[p.EdgeChild]
+		ix.hi[i] = ix.lo[i] + t.Size[p.EdgeChild]
+		for _, z := range interior(p) {
+			x := t.PreIndex[z]
+			ix.zLo[k], ix.zHi[k] = x, x+t.Size[z]
+			ix.bvOff[x+1]++
+			k++
 		}
-		for _, z := range ix.internal[i] {
-			ix.byVertex[z] = append(ix.byVertex[z], int32(i))
+		ix.zOff[i+1] = int32(k)
+	}
+	for x := 0; x < n; x++ {
+		ix.bvOff[x+1] += ix.bvOff[x]
+	}
+	// Fill each vertex's run in pair order, borrowing seenT as the cursor.
+	cur := ix.seenT
+	copy(cur, ix.bvOff[:n])
+	for i := range pairs {
+		for _, x := range ix.zLo[ix.zOff[i]:ix.zOff[i+1]] {
+			c := cur[x]
+			ix.bvPair[c], ix.bvTerm[c], ix.bvLo[c], ix.bvHi[c] = int32(i), ix.term[i], ix.lo[i], ix.hi[i]
+			cur[x]++
 		}
 	}
+	clear(cur)
 	return ix
 }
 
-// related reports e ∼ e' for the failing edges of pairs i and j.
-func (ix *pairIndex) related(i, j int32) bool {
-	return ix.en.T.Related(ix.pairs[i].EdgeChild, ix.pairs[j].EdgeChild)
-}
-
 // piIntersects reports whether the detour of pair i intersects
-// π(LCA(v_i,t), t) \ {LCA} — equivalently (see Phase S1 notes in DESIGN.md)
-// whether some interior detour vertex is an ancestor of t. Each check is an
-// O(1) preorder-interval test, so the answer costs at most |detour| of them.
+// π(LCA(v_i,t), t) \ {LCA}. The detour's endpoints lie on π(s,v_i) and its
+// interior avoids it, so this holds iff some interior detour vertex is an
+// ancestor of t: one interval test per interior vertex.
 func (ix *pairIndex) piIntersects(i int32, t int32) bool {
-	for _, z := range ix.internal[i] {
-		if ix.en.T.IsAncestor(z, t) {
+	x := ix.en.T.PreIndex[t]
+	lo, hi := ix.zOff[i], ix.zOff[i+1]
+	zHi := ix.zHi[lo:hi]
+	for k, zl := range ix.zLo[lo:hi] {
+		if zl <= x && x < zHi[k] {
 			return true
 		}
 	}
@@ -81,9 +134,15 @@ func (ix *pairIndex) piIntersects(i int32, t int32) bool {
 // splitI1I2 partitions all pairs into I1 (pairs with at least one
 // (≁)-interference anywhere in UP) and the (∼)-set I2 = UP \ I1.
 func (ix *pairIndex) splitI1I2() (i1, i2 []int32) {
+	ix.stamp++
+	all := ix.stamp
+	for i := range ix.pairs {
+		ix.inSet[i] = all
+	}
+	ix.stamp++ // a type-A stamp no pair carries
 	for i := range ix.pairs {
 		p := int32(i)
-		if ix.hasNonSimInterference(p, nil) {
+		if ix.hasNonSimInterference(p, all, ix.stamp) {
 			i1 = append(i1, p)
 		} else {
 			i2 = append(i2, p)
@@ -92,19 +151,18 @@ func (ix *pairIndex) splitI1I2() (i1, i2 []int32) {
 	return i1, i2
 }
 
-// hasNonSimInterference reports whether pair p (≁)-interferes with any pair
-// in the current set (restrict nil means: any pair at all).
-func (ix *pairIndex) hasNonSimInterference(p int32, restrict func(int32) bool) bool {
-	vp := ix.pairs[p].V
-	for _, z := range ix.internal[p] {
-		for _, q := range ix.byVertex[z] {
-			if q == p || ix.pairs[q].V == vp {
-				continue
+// hasNonSimInterference reports whether pair p (≁)-interferes with a pair q
+// of the current set: one with inSet[q] == inStamp and isA[q] != aStamp.
+func (ix *pairIndex) hasNonSimInterference(p, inStamp, aStamp int32) bool {
+	vp, lp, hp := ix.term[p], ix.lo[p], ix.hi[p]
+	for _, x := range ix.zLo[ix.zOff[p]:ix.zOff[p+1]] {
+		b, e := ix.bvOff[x], ix.bvOff[x+1]
+		qs, ts, ls, hs := ix.bvPair[b:e], ix.bvTerm[b:e], ix.bvLo[b:e], ix.bvHi[b:e]
+		for k, q := range qs {
+			if ts[k] == vp || (lp < hs[k] && ls[k] < hp) {
+				continue // same terminal (p itself included) or e ∼ e'
 			}
-			if restrict != nil && !restrict(q) {
-				continue
-			}
-			if !ix.related(p, q) {
+			if ix.inSet[q] == inStamp && ix.isA[q] != aStamp {
 				return true
 			}
 		}
@@ -113,11 +171,16 @@ func (ix *pairIndex) hasNonSimInterference(p int32, restrict func(int32) bool) b
 }
 
 // classify splits the working set Pi into the paper's type A, B and C pairs
-// (Eqs. 2–3):
+// (Eqs. 2–3), each returned in Pi order:
 //
 //	A: π-intersects a (≁)-interfering pair of Pi;
 //	B: not A, and (≁)-interferes with another non-A pair of Pi;
 //	C: everything else — a (∼)-set deferred to Phase S2 (Obs. 4.11).
+//
+// Both passes scan p's interior vertices and, per vertex, the inline
+// term/lo/hi run of the pairs sharing it, so the terminal and e ∼ e' tests
+// that reject most partners touch no per-pair array; only the survivors
+// read their membership marks.
 func (ix *pairIndex) classify(pi []int32) (a, b, c []int32) {
 	// Three stamped mark sets replace the per-iteration maps: membership of
 	// Pi, the type-A verdicts and the has-interference flags. Stamps only
@@ -132,18 +195,20 @@ func (ix *pairIndex) classify(pi []int32) (a, b, c []int32) {
 	interfStamp := ix.stamp + 2
 	ix.stamp += 2
 	for _, p := range pi {
-		vp := ix.pairs[p].V
+		vp, lp, hp := ix.term[p], ix.lo[p], ix.hi[p]
 		ix.stamp++
 		tStamp := ix.stamp // per-pair dedup of examined terminals
-		found := false
+		found, hit := false, false
 	scanA:
-		for _, z := range ix.internal[p] {
-			for _, q := range ix.byVertex[z] {
-				if q == p || ix.inSet[q] != inStamp || ix.pairs[q].V == vp || ix.related(p, q) {
+		for _, x := range ix.zLo[ix.zOff[p]:ix.zOff[p+1]] {
+			bs, be := ix.bvOff[x], ix.bvOff[x+1]
+			qs, ts, ls, hs := ix.bvPair[bs:be], ix.bvTerm[bs:be], ix.bvLo[bs:be], ix.bvHi[bs:be]
+			for k, q := range qs {
+				t := ts[k]
+				if t == vp || (lp < hs[k] && ls[k] < hp) || ix.inSet[q] != inStamp {
 					continue
 				}
-				ix.interf[p] = interfStamp
-				t := ix.pairs[q].V
+				hit = true
 				if ix.seenT[t] == tStamp {
 					continue
 				}
@@ -153,6 +218,9 @@ func (ix *pairIndex) classify(pi []int32) (a, b, c []int32) {
 					break scanA
 				}
 			}
+		}
+		if hit {
+			ix.interf[p] = interfStamp
 		}
 		if found {
 			ix.isA[p] = aStamp
@@ -164,9 +232,7 @@ func (ix *pairIndex) classify(pi []int32) (a, b, c []int32) {
 		if ix.isA[p] == aStamp {
 			continue
 		}
-		if ix.interf[p] == interfStamp && ix.hasNonSimInterference(p, func(q int32) bool {
-			return ix.inSet[q] == inStamp && ix.isA[q] != aStamp
-		}) {
+		if ix.interf[p] == interfStamp && ix.hasNonSimInterference(p, inStamp, aStamp) {
 			b = append(b, p)
 		} else {
 			c = append(c, p)

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"ftbfs/internal/gen"
@@ -34,6 +38,12 @@ func interferes(ix *pairIndex, i, j int32) bool {
 	return false
 }
 
+// related reports e ∼ e' for the failing edges of pairs i and j from the
+// tree's ancestor test.
+func related(ix *pairIndex, i, j int32) bool {
+	return ix.en.T.Related(ix.pairs[i].EdgeChild, ix.pairs[j].EdgeChild)
+}
+
 func TestSplitI1I2MatchesBruteForce(t *testing.T) {
 	for _, g := range []*graph.Graph{
 		gen.LowerBoundParams(2, 3, 5).G,
@@ -55,7 +65,7 @@ func TestSplitI1I2MatchesBruteForce(t *testing.T) {
 				if i == j {
 					continue
 				}
-				if interferes(ix, int32(i), int32(j)) && !ix.related(int32(i), int32(j)) {
+				if interferes(ix, int32(i), int32(j)) && !related(ix, int32(i), int32(j)) {
 					want = true
 					break
 				}
@@ -97,7 +107,7 @@ func TestTypeCIsSimSet(t *testing.T) {
 		}
 		for _, p := range c {
 			for _, q := range c {
-				if p != q && interferes(ix, p, q) && !ix.related(p, q) {
+				if p != q && interferes(ix, p, q) && !related(ix, p, q) {
 					t.Fatalf("C-set pairs %d and %d (≁)-interfere", p, q)
 				}
 			}
@@ -123,7 +133,7 @@ func TestClassifyDefinitions(t *testing.T) {
 	for _, p := range a {
 		found := false
 		for _, q := range i1 {
-			if q != p && interferes(ix, p, q) && !ix.related(p, q) &&
+			if q != p && interferes(ix, p, q) && !related(ix, p, q) &&
 				ix.piIntersects(p, ix.pairs[q].V) {
 				found = true
 				break
@@ -136,7 +146,7 @@ func TestClassifyDefinitions(t *testing.T) {
 	for _, p := range b {
 		found := false
 		for _, q := range i1 {
-			if q != p && !inA[q] && interferes(ix, p, q) && !ix.related(p, q) {
+			if q != p && !inA[q] && interferes(ix, p, q) && !related(ix, p, q) {
 				found = true
 				break
 			}
@@ -145,6 +155,112 @@ func TestClassifyDefinitions(t *testing.T) {
 			t.Fatalf("type-B pair %d has no non-A interferer", p)
 		}
 	}
+
+	// Both directions, every Phase S1 iteration: classify returns exactly
+	// the Eq. 2–3 sets, in Pi order, with interference, e ∼ e' and
+	// π-intersection all evaluated from their definitions. Phase S1 rarely
+	// runs past its second iteration, so random halves of I1 stand in for
+	// working sets whose partners have left the set.
+	const eps = 0.1
+	rng := rand.New(rand.NewSource(3))
+	var nA, nB, nC int
+	check := func(en *replacement.Engine, ix *pairIndex, pi []int32, what string) {
+		a, b, c := ix.classify(pi)
+		wantA, wantB, wantC := classifyByDefinition(en, ix, pi)
+		for _, chk := range []struct {
+			name      string
+			got, want []int32
+		}{{"A", a, wantA}, {"B", b, wantB}, {"C", c, wantC}} {
+			if !slices.Equal(chk.got, chk.want) {
+				t.Fatalf("n=%d s=%d %s: type %s = %v, definition gives %v",
+					en.G.N(), en.S, what, chk.name, chk.got, chk.want)
+			}
+		}
+		nA, nB, nC = nA+len(a), nB+len(b), nC+len(c)
+	}
+	for _, c := range []struct {
+		g *graph.Graph
+		s int
+	}{
+		{gen.LowerBoundParams(3, 4, 6).G, 0},
+		{gen.Grid(12, 12), 3*12 + 3},
+		{gen.RandomConnected(60, 100, 5), 0},
+		{gen.GNPConnected(70, 0.06, 7), 3},
+		{gen.RandomConnected(90, 200, 9), 11},
+	} {
+		en, ix := indexFor(t, c.g, c.s)
+		i1, _ := ix.splitI1I2()
+		k := int(math.Ceil(1/eps)) + 2
+		h := en.TreeEdges.Clone()
+		threshold := int(math.Ceil(math.Pow(float64(c.g.N()), eps)))
+		pi := i1
+		for iter := 1; iter <= k && len(pi) > 0; iter++ {
+			check(en, ix, pi, fmt.Sprintf("iteration %d", iter))
+			pi = runPhase1(ix, h, pi, 1, threshold).Leftover
+		}
+		for trial := 0; trial < 3; trial++ {
+			var half []int32
+			for _, p := range i1 {
+				if rng.Intn(2) == 0 {
+					half = append(half, p)
+				}
+			}
+			check(en, ix, half, fmt.Sprintf("random half %d", trial))
+		}
+	}
+	if nA == 0 || nB == 0 || nC == 0 {
+		t.Fatalf("corpus too easy: %d A, %d B, %d C pairs", nA, nB, nC)
+	}
+}
+
+// classifyByDefinition evaluates Eqs. 2–3 on the working set pi by brute
+// force, returning each type in pi order.
+func classifyByDefinition(en *replacement.Engine, ix *pairIndex, pi []int32) (a, b, c []int32) {
+	conflict := func(p, q int32) bool { return p != q && interferes(ix, p, q) && !related(ix, p, q) }
+	inA := map[int32]bool{}
+	for _, p := range pi {
+		for _, q := range pi {
+			if conflict(p, q) && piIntersectsByDefinition(en, ix.pairs[p], ix.pairs[q].V) {
+				inA[p] = true
+				a = append(a, p)
+				break
+			}
+		}
+	}
+	for _, p := range pi {
+		if inA[p] {
+			continue
+		}
+		isB := false
+		for _, q := range pi {
+			if !inA[q] && conflict(p, q) {
+				isB = true
+				break
+			}
+		}
+		if isB {
+			b = append(b, p)
+		} else {
+			c = append(c, p)
+		}
+	}
+	return a, b, c
+}
+
+// piIntersectsByDefinition reports whether the detour of p meets
+// π(LCA(v,t), t) \ {LCA}, walking that path segment explicitly.
+func piIntersectsByDefinition(en *replacement.Engine, p *replacement.Pair, t int32) bool {
+	lca := en.T.LCA(p.V, t)
+	onSeg := map[int32]bool{}
+	for x := t; x != lca && x >= 0; x = en.T.Parent[x] {
+		onSeg[x] = true
+	}
+	for _, z := range p.Detour {
+		if onSeg[z] {
+			return true
+		}
+	}
+	return false
 }
 
 // π-intersection against the definition: the detour of p meets
@@ -159,19 +275,7 @@ func TestPiIntersectsAgainstDefinition(t *testing.T) {
 			if t32 == v || en.T.Depth[t32] < 0 {
 				continue
 			}
-			// brute force: walk π(s,t) below LCA(v,t)
-			lca := en.T.LCA(v, t32)
-			onSeg := map[int32]bool{}
-			for x := t32; x != lca && x >= 0; x = en.T.Parent[x] {
-				onSeg[x] = true
-			}
-			want := false
-			for _, z := range ix.pairs[p].Detour {
-				if onSeg[z] {
-					want = true
-					break
-				}
-			}
+			want := piIntersectsByDefinition(en, ix.pairs[p], t32)
 			if got := ix.piIntersects(p, t32); got != want {
 				t.Fatalf("pair %d terminal %d: piIntersects=%v brute=%v", p, t32, got, want)
 			}

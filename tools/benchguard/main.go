@@ -11,7 +11,9 @@
 // look slower), so min-of-N is far more stable across CI runs than the mean.
 // Run the gated benchmarks with -count 3 or more. The -<procs> suffix of
 // parallel benchmarks is stripped so runs from machines with different core
-// counts stay comparable.
+// counts stay comparable — unless one file holds several core counts (a
+// `-cpu 1,2` run prints BenchmarkX and BenchmarkX-2): then every name keeps
+// its suffix, so each core count is its own min-of-N.
 //
 // Usage:
 //
@@ -57,8 +59,11 @@ var nameOnly = regexp.MustCompile(`^(Benchmark\S+)\s*$`)
 // resultOnly matches the measurement columns arriving in their own event.
 var resultOnly = regexp.MustCompile(`^\d+\s+([0-9.eE+]+) ns/op(.*)$`)
 
+// sample is one benchmark result line before aggregation.
+type sample struct{ name, ns, rest string }
+
 // parseFile reads benchmark results from raw bench text or a go test -json
-// stream, averaging repeated measurements per benchmark.
+// stream, reducing repeated measurements per benchmark to their minimum.
 func parseFile(path string) (map[string]*result, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -66,7 +71,7 @@ func parseFile(path string) (map[string]*result, error) {
 	}
 	defer f.Close()
 
-	out := make(map[string]*result)
+	var samples []sample
 	pending := "" // benchmark name seen without measurements yet
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
@@ -85,22 +90,48 @@ func parseFile(path string) (map[string]*result, error) {
 		switch {
 		case benchLine.MatchString(line):
 			m := benchLine.FindStringSubmatch(line)
-			record(out, m[1], m[2], m[3])
+			samples = append(samples, sample{m[1], m[2], m[3]})
 			pending = ""
 		case nameOnly.MatchString(line):
 			pending = nameOnly.FindStringSubmatch(line)[1]
 		case pending != "" && resultOnly.MatchString(line):
 			m := resultOnly.FindStringSubmatch(line)
-			record(out, pending, m[1], m[2])
+			samples = append(samples, sample{pending, m[1], m[2]})
 			pending = ""
 		}
 	}
-	return out, sc.Err()
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	strip := !mixedProcs(samples)
+	out := make(map[string]*result)
+	for _, sm := range samples {
+		name := sm.name
+		if strip {
+			name = procsSuffix.ReplaceAllString(name, "")
+		}
+		record(out, name, sm.ns, sm.rest)
+	}
+	return out, nil
+}
+
+// mixedProcs reports whether stripping the -<procs> suffix would merge two
+// different names into one, i.e. whether the file holds more than one core
+// count.
+func mixedProcs(samples []sample) bool {
+	raw := make(map[string]string)
+	for _, sm := range samples {
+		base := procsSuffix.ReplaceAllString(sm.name, "")
+		if prev, ok := raw[base]; ok && prev != sm.name {
+			return true
+		}
+		raw[base] = sm.name
+	}
+	return false
 }
 
 // record folds one benchmark measurement into the accumulator.
 func record(out map[string]*result, name, nsField, rest string) {
-	name = procsSuffix.ReplaceAllString(name, "")
 	ns, err := strconv.ParseFloat(nsField, 64)
 	if err != nil {
 		return

@@ -73,6 +73,43 @@ func TestParseRawAndJSON(t *testing.T) {
 	}
 }
 
+// A `-cpu 1,2` run prints each benchmark once per core count: the 1-CPU
+// line without a suffix, the 2-CPU line with -2. Those are different
+// measurements and must stay apart, not merge into one min-of-N.
+const rawBenchTwoProcs = `goos: linux
+BenchmarkOraclePool/pooled           	      10	     10000 ns/op	      32 B/op	       0 allocs/op
+BenchmarkOraclePool/pooled           	      10	     11000 ns/op	      32 B/op	       0 allocs/op
+BenchmarkOraclePool/pooled-2         	      10	      6000 ns/op	      48 B/op	       1 allocs/op
+BenchmarkOraclePool/pooled-2         	      10	      7000 ns/op	      48 B/op	       1 allocs/op
+BenchmarkBFSTree                     	     100	    900000 ns/op
+BenchmarkBFSTree-2                   	     100	    950000 ns/op
+PASS
+`
+
+func TestParseKeepsProcsSuffixAcrossCoreCounts(t *testing.T) {
+	res, err := parseFile(writeTemp(t, "procs.txt", rawBenchTwoProcs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 4 {
+		t.Fatalf("core counts merged: got %d benchmarks %v, want 4", len(res), res)
+	}
+	for name, want := range map[string]struct {
+		ns, allocs float64
+		count      int
+	}{
+		"BenchmarkOraclePool/pooled":   {10000, 0, 2},
+		"BenchmarkOraclePool/pooled-2": {6000, 1, 2},
+		"BenchmarkBFSTree":             {900000, 0, 1},
+		"BenchmarkBFSTree-2":           {950000, 0, 1},
+	} {
+		got := res[name]
+		if got == nil || got.nsPerOp != want.ns || got.allocsPerOp != want.allocs || got.count != want.count {
+			t.Fatalf("%s: got %+v, want ns %v allocs %v count %d", name, got, want.ns, want.allocs, want.count)
+		}
+	}
+}
+
 func TestCompareFlagsRegressions(t *testing.T) {
 	baseline, err := parseFile(writeTemp(t, "base.txt", rawBench))
 	if err != nil {
