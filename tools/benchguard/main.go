@@ -11,9 +11,10 @@
 // look slower), so min-of-N is far more stable across CI runs than the mean.
 // Run the gated benchmarks with -count 3 or more. The -<procs> suffix of
 // parallel benchmarks is stripped so runs from machines with different core
-// counts stay comparable — unless one file holds several core counts (a
-// `-cpu 1,2` run prints BenchmarkX and BenchmarkX-2): then every name keeps
-// its suffix, so each core count is its own min-of-N.
+// counts stay comparable — unless either file holds several core counts (a
+// `-cpu 1,2` run prints BenchmarkX and BenchmarkX-2): then every name in
+// both files keeps its suffix, so each core count is its own min-of-N and
+// is gated only against the same core count.
 //
 // Usage:
 //
@@ -62,9 +63,39 @@ var resultOnly = regexp.MustCompile(`^\d+\s+([0-9.eE+]+) ns/op(.*)$`)
 // sample is one benchmark result line before aggregation.
 type sample struct{ name, ns, rest string }
 
-// parseFile reads benchmark results from raw bench text or a go test -json
-// stream, reducing repeated measurements per benchmark to their minimum.
-func parseFile(path string) (map[string]*result, error) {
+// parseFiles reads benchmark results from raw bench text or go test -json
+// streams, reducing repeated measurements per benchmark to their minimum.
+// The -<procs> suffix is stripped in every file or in none: if any file
+// holds more than one core count, stripping one file alone would file its
+// N-CPU result under the name another file uses for its 1-CPU result.
+func parseFiles(paths ...string) ([]map[string]*result, error) {
+	samples := make([][]sample, len(paths))
+	strip := true
+	for i, path := range paths {
+		var err error
+		if samples[i], err = readSamples(path); err != nil {
+			return nil, err
+		}
+		if mixedProcs(samples[i]) {
+			strip = false
+		}
+	}
+	out := make([]map[string]*result, len(paths))
+	for i, ss := range samples {
+		out[i] = make(map[string]*result)
+		for _, sm := range ss {
+			name := sm.name
+			if strip {
+				name = procsSuffix.ReplaceAllString(name, "")
+			}
+			record(out[i], name, sm.ns, sm.rest)
+		}
+	}
+	return out, nil
+}
+
+// readSamples extracts every benchmark result line of one file.
+func readSamples(path string) ([]sample, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -100,19 +131,7 @@ func parseFile(path string) (map[string]*result, error) {
 			pending = ""
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	strip := !mixedProcs(samples)
-	out := make(map[string]*result)
-	for _, sm := range samples {
-		name := sm.name
-		if strip {
-			name = procsSuffix.ReplaceAllString(name, "")
-		}
-		record(out, name, sm.ns, sm.rest)
-	}
-	return out, nil
+	return samples, sc.Err()
 }
 
 // mixedProcs reports whether stripping the -<procs> suffix would merge two
@@ -241,16 +260,12 @@ func main() {
 		fmt.Printf("benchguard: no baseline at %s; passing\n", *baselinePath)
 		return
 	}
-	baseline, err := parseFile(*baselinePath)
+	results, err := parseFiles(*baselinePath, *latestPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
 		os.Exit(2)
 	}
-	latest, err := parseFile(*latestPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-		os.Exit(2)
-	}
+	baseline, latest := results[0], results[1]
 	if len(latest) == 0 {
 		fmt.Fprintf(os.Stderr, "benchguard: no benchmark results in %s\n", *latestPath)
 		os.Exit(2)

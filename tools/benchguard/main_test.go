@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"testing"
 )
@@ -14,6 +15,16 @@ func writeTemp(t *testing.T, name, content string) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// parseFile parses one results file on its own, as parseFiles does for a
+// single path.
+func parseFile(path string) (map[string]*result, error) {
+	res, err := parseFiles(path)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }
 
 const rawBench = `goos: linux
@@ -107,6 +118,60 @@ func TestParseKeepsProcsSuffixAcrossCoreCounts(t *testing.T) {
 		if got == nil || got.nsPerOp != want.ns || got.allocsPerOp != want.allocs || got.count != want.count {
 			t.Fatalf("%s: got %+v, want ns %v allocs %v count %d", name, got, want.ns, want.allocs, want.count)
 		}
+	}
+}
+
+// The first run after CI switches to `-cpu 1,2` pairs a single-count
+// baseline (every name with -2) with a mixed latest file. The baseline's
+// 2-CPU numbers must be gated against the latest 2-CPU lines only: stripping
+// the baseline alone would compare them with the 1-CPU lines.
+const rawBenchSingleProcs = `goos: linux
+BenchmarkOraclePool/pooled-2         	      10	      6500 ns/op	      48 B/op	       1 allocs/op
+BenchmarkBFSTree-2                   	     100	    700000 ns/op
+PASS
+`
+
+func TestCompareMixedAgainstSingleCoreCount(t *testing.T) {
+	base := writeTemp(t, "base.txt", rawBenchSingleProcs)
+	latest := writeTemp(t, "latest.txt", rawBenchTwoProcs)
+	filter := regexp.MustCompile("BenchmarkOraclePool|BenchmarkBFSTree")
+	for _, order := range [][2]string{{base, latest}, {latest, base}} {
+		res, err := parseFiles(order[0], order[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := res[0]["BenchmarkOraclePool/pooled-2"]; !ok {
+			t.Fatalf("suffix stripped from one file only: %v / %v", res[0], res[1])
+		}
+	}
+	res, err := parseFiles(base, latest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// BFSTree-2 went 700000 -> 950000 ns/op (+36%); pooled-2 improved. The
+	// 1-CPU lines have no baseline and are skipped.
+	regs, compared, missing := compare(res[0], res[1], filter, 0.20, false)
+	if want := []string{"BenchmarkBFSTree-2", "BenchmarkOraclePool/pooled-2"}; !reflect.DeepEqual(compared, want) {
+		t.Fatalf("compared %v, want %v", compared, want)
+	}
+	if len(missing) != 0 {
+		t.Fatalf("spurious missing benchmarks %v", missing)
+	}
+	if len(regs) != 1 || regs[0].name != "BenchmarkBFSTree-2" || regs[0].metric != "ns/op" {
+		t.Fatalf("got regressions %v, want only BenchmarkBFSTree-2 ns/op", regs)
+	}
+
+	// Two single-count files from different machines still strip, so they
+	// stay comparable.
+	res, err = parseFiles(base, writeTemp(t, "raw.txt", rawBench))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := res[0]["BenchmarkBFSTree"]; !ok {
+		t.Fatalf("single-count baseline not stripped: %v", res[0])
+	}
+	if _, compared, _ := compare(res[0], res[1], filter, 0.20, false); len(compared) != 2 {
+		t.Fatalf("compared %v, want both benchmarks across core counts", compared)
 	}
 }
 
