@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -326,10 +327,18 @@ func BenchmarkOraclePool(b *testing.B) {
 //
 //   - nontree-edge: the failed edge is off H's BFS tree, so the answer is an
 //     O(1) read of the cached intact vector (~0 allocs/op, no search).
-//   - tree-edge: the failed edge is a tree edge; only the subtree hanging
-//     below it is repaired (bfs.Repair over H's own CSR arcs).
+//   - tree-edge: the failed edge is a tree edge and the target its child
+//     endpoint, the root of the failed subtree; the repair (bfs.Repair over
+//     H's own CSR arcs) stops once that target settles, within the first
+//     few levels of the subtree.
+//   - tree-edge-deepest: the same failures, each targeting the vertex of the
+//     failed subtree with the largest answer (a disconnected one when there
+//     is one) — the worst case, where a run drains the whole subtree.
 //   - batch16-grouped: a 16-query vector over 4 distinct failed tree edges,
 //     grouped by DistAvoidingMany so each failure repairs once.
+//   - grid45-batch64: perfbench's batch draw — Grid(45,45), a source per
+//     quadrant, ε = 0.3 — one DistAvoidingMany of 64 distinct failed tree
+//     edges, each on its uniform target's tree path; ns/answer divides by 64.
 //   - reference-full-bfs: the pre-plan cost — a restricted BFS over all of
 //     G per query — kept as the yardstick the fast paths are gated against.
 func BenchmarkQueryPlan(b *testing.B) {
@@ -406,6 +415,46 @@ func BenchmarkQueryPlan(b *testing.B) {
 			}
 		}
 	})
+	b.Run("tree-edge-deepest", func(b *testing.B) {
+		deepest := make([]int, len(treeEdges))
+		o := st.Oracle()
+		for k, e := range treeEdges {
+			c := childOf(e)
+			deepest[k] = subtreeDeepest(b, n, func(v int) bool { return v == c || plan.OnTreePath(c, v) },
+				func(v int) (int, error) { return o.DistAvoidingRef(v, e[0], e[1]) })
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := i % len(treeEdges)
+			e := treeEdges[k]
+			err := pool.Do(func(o *ftbfs.Oracle) error {
+				_, err := o.DistAvoiding(deepest[k], e[0], e[1])
+				return err
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("grid45-batch64", func(b *testing.B) {
+		oracles, batches := gridBatchFixture(b)
+		out := make([]int, len(batches[0][0]))
+		for k, o := range oracles { // warm the oracles' scratch buffers
+			if _, err := o.DistAvoidingMany(batches[k][0], out); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := i % len(oracles)
+			if _, err := oracles[k].DistAvoidingMany(batches[k][(i/len(oracles))%len(batches[k])], out); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(out)), "ns/answer")
+	})
 	b.Run("reference-full-bfs", func(b *testing.B) {
 		b.ReportAllocs()
 		o := st.Oracle()
@@ -416,6 +465,90 @@ func BenchmarkQueryPlan(b *testing.B) {
 			}
 		}
 	})
+}
+
+// subtreeDeepest returns the target among the n vertices with below(v)
+// whose reference answer is largest, a disconnected target beating every
+// reachable one.
+func subtreeDeepest(b *testing.B, n int, below func(int) bool, ref func(int) (int, error)) int {
+	b.Helper()
+	best, bestD := -1, 0
+	for v := 0; v < n; v++ {
+		if !below(v) {
+			continue
+		}
+		d, err := ref(v)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if best < 0 || d == ftbfs.Unreachable || (bestD != ftbfs.Unreachable && d > bestD) {
+			best, bestD = v, d
+		}
+	}
+	return best
+}
+
+// gridBatchFixture draws perfbench's batch workload below the serving
+// plane: Grid(45,45) with one source per quadrant at ε = 0.3, and per
+// structure 16 batches of 64 slots. A slot picks a uniform target and a
+// uniform failable tree edge on the target's path in H's BFS tree, no edge
+// twice in a batch, so every slot forces a subtree repair.
+func gridBatchFixture(b *testing.B) ([]*ftbfs.Oracle, [][][]ftbfs.FailureQuery) {
+	b.Helper()
+	const side, slots, perStructure = 45, 64, 16
+	ig := gen.Grid(side, side)
+	g := ftbfs.NewGraph(ig.N())
+	for _, e := range ig.Edges() {
+		g.MustAddEdge(int(e.U), int(e.V))
+	}
+	rng := rand.New(rand.NewSource(1))
+	var oracles []*ftbfs.Oracle
+	var batches [][][]ftbfs.FailureQuery
+	for _, s := range []int{11*side + 11, 11*side + 33, 33*side + 11, 33*side + 33} {
+		st, err := ftbfs.Build(g, s, 0.3)
+		if err != nil {
+			b.Fatal(err)
+		}
+		plan := st.Plan()
+		// failablePath lists the failable tree edges on v's path in H's
+		// BFS tree, climbing through the one tree parent a level up.
+		failablePath := func(v int) [][2]int {
+			var path [][2]int
+			for v != s {
+				for _, a := range ig.Neighbors(v) {
+					u := int(a.To)
+					if st.Dist(u) == st.Dist(v)-1 && plan.IsTreeEdge(u, v) {
+						if !st.IsReinforced(u, v) {
+							path = append(path, [2]int{u, v})
+						}
+						v = u
+						break
+					}
+				}
+			}
+			return path
+		}
+		mine := make([][]ftbfs.FailureQuery, perStructure)
+		for j := range mine {
+			used := map[[2]int]bool{}
+			for len(mine[j]) < slots {
+				v := rng.Intn(ig.N())
+				path := failablePath(v)
+				if len(path) == 0 {
+					continue
+				}
+				e := path[rng.Intn(len(path))]
+				if used[e] {
+					continue
+				}
+				used[e] = true
+				mine[j] = append(mine[j], ftbfs.FailureQuery{V: v, FailedU: e[0], FailedV: e[1]})
+			}
+		}
+		oracles = append(oracles, st.Oracle())
+		batches = append(batches, mine)
+	}
+	return oracles, batches
 }
 
 // BenchmarkServeQueries measures the HTTP serving hot path end to end:

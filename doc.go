@@ -50,12 +50,15 @@
 // A failure off the tree — including every edge outside H — cannot change
 // any distance, so the answer is an O(1) read of the intact vector; a
 // failed tree edge repairs only the subtree hanging below it, seeded from
-// the intact-distance frontier crossing into it (bfs.Repair). The original
-// full-BFS search survives as Oracle.DistAvoidingRef, the reference the
-// fast paths are differential-tested against. Oracle.DistAvoidingMany
-// validates a whole query vector up front (an error never publishes
-// partial results) and answers it grouped by failed edge, so each distinct
-// tree-edge failure is repaired once for all its targets.
+// the intact-distance frontier crossing into it, and only as deep as the
+// target's answer (bfs.Repair: Run records the failure, Dist drains
+// distance levels until the target settles and a later Dist resumes). A
+// target costs at most the arcs of the subtree vertices at levels ≤ its
+// answer. The original full-BFS search survives as Oracle.DistAvoidingRef,
+// the reference the fast paths are differential-tested against.
+// Oracle.DistAvoidingMany validates a whole query vector up front (an error
+// never publishes partial results) and answers it grouped by failed edge,
+// so each distinct tree-edge failure is repaired once for all its targets.
 //
 // The internal/store package keys built structures by
 // (Graph.Fingerprint, source, ε, algorithm) with LRU eviction, builds
@@ -76,12 +79,14 @@
 // of the structure, not a second set of types: a vertex structure's plan
 // classifies a failed vertex w the way an edge structure's plan classifies
 // a failed edge — a target off w's subtree in H's BFS tree is an O(1) read
-// of the cached intact vector, a target below w reads one repair of w's
-// strict-descendant subtree with every arc of w banned (bfs.Repair.Run takes
-// either ban). Oracle.DistAvoidingVertex is the point query and
-// DistAvoidingVertexRef the full-BFS reference it is differential-tested
-// against; a FailureQuery with Vertex set names a failed vertex, so
-// DistAvoidingMany and DistAvoidingEach batch both models, and an oracle
+// of the cached intact vector, a target below w reads one resumable repair
+// of w's strict-descendant subtree with every arc of w banned, drained down
+// to the target's answer (bfs.Repair.Run takes the failed tree edge, or
+// none when the subtree root itself failed). Oracle.DistAvoidingVertex is
+// the point query and DistAvoidingVertexRef the full-BFS reference it is
+// differential-tested against; a FailureQuery with Vertex set names a
+// failed vertex, so DistAvoidingMany and DistAvoidingEach batch both
+// models, and an oracle
 // rejects a failure of the other model. VertexStructure.Save and
 // LoadVertexStructure persist the structure as a version-2 record of the
 // structure text format (edge files keep their version-1 record); the store

@@ -101,10 +101,10 @@ func (en *Engine) Reset(s int) {
 // ForEachFailure iterates over every tree edge e (every failure that can
 // change distances) in increasing order of its child endpoint and invokes
 // fn(e, child endpoint, dist(s, ·, G\{e})). Only the subtree below e can
-// change distance, so each failure costs one bfs.Repair of that subtree —
-// O(Σ_{w ∈ subtree} deg(w)) — written into a copy of the intact distances
-// and undone after fn returns. The distance slice is reused between calls:
-// fn must neither modify nor retain it.
+// change distance, so each failure costs one bfs.Repair of that subtree,
+// read out in full — O(Σ_{w ∈ subtree} deg(w)) — into a copy of the intact
+// distances and undone after fn returns. The distance slice is reused
+// between calls: fn must neither modify nor retain it.
 func (en *Engine) ForEachFailure(fn func(e graph.EdgeID, child int32, distE []int32)) {
 	copy(en.distE, en.BT.Dist)
 	for v := 0; v < en.G.N(); v++ {
@@ -116,11 +116,13 @@ func (en *Engine) ForEachFailure(fn func(e graph.EdgeID, child int32, distE []in
 
 // visitFailure repairs the subtree below the tree edge whose child endpoint
 // is c into dist (which holds the intact distances), calls fn and restores
-// the intact values.
+// the intact values. Every subtree vertex is read, so the repair runs to
+// the end first.
 func (en *Engine) visitFailure(r *bfs.Repair, dist []int32, c int32, fn func(e graph.EdgeID, child int32, distE []int32)) {
 	id := en.BT.ParentEdge[c]
+	r.Run(en.csr, en.BT.Dist, en.T.Preorder(), c, id)
+	r.Finish()
 	sub := en.T.Subtree(c)
-	r.Run(en.csr, en.BT.Dist, sub, id, -1)
 	for _, w := range sub {
 		dist[w] = r.Dist(w)
 	}

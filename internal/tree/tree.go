@@ -23,9 +23,11 @@ type Tree struct {
 
 	// Dense preorder from the same tour: the subtree of v is the
 	// contiguous slice PreOrder[PreIndex[v] : PreIndex[v]+Size[v]], which is
-	// what lets a failure repair enumerate exactly the affected vertices.
+	// what lets a failure repair test membership and walk the affected
+	// subtree; pre bundles the three arrays for bfs.Repair.
 	PreOrder []int32 // reachable vertices in DFS preorder
 	PreIndex []int32 // preorder position of v; -1 for unreachable vertices
+	pre      bfs.Preorder
 
 	// Fact 3.3 decomposition TD. Every reachable vertex lies on exactly one
 	// path; Paths[i] lists its vertices from shallowest (head) to deepest.
@@ -116,6 +118,7 @@ func BuildAncestry(n int, bt *bfs.Tree) *Tree {
 		}
 	}
 	t.preorderTour()
+	t.pre = bfs.Preorder{Order: t.PreOrder, Index: t.PreIndex, Size: t.Size}
 	return t
 }
 
@@ -211,6 +214,10 @@ func (t *Tree) Subtree(v int32) []int32 {
 	}
 	return t.PreOrder[p : p+t.Size[v]]
 }
+
+// Preorder returns the tree's preorder subtree intervals in the form
+// bfs.Repair walks.
+func (t *Tree) Preorder() *bfs.Preorder { return &t.pre }
 
 // InSubtree reports whether v lies in the subtree rooted at c (including
 // v == c), in O(1) via the preorder interval.

@@ -1,6 +1,7 @@
 package ftbfs
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -326,7 +327,9 @@ func (o *Oracle) answer(queries []FailureQuery, out []int, errs []error) error {
 			o.ord = append(o.ord, int32(i))
 		}
 	}
-	slices.SortFunc(o.ord, func(a, b int32) int { return int(o.ids[a]) - int(o.ids[b]) })
+	// Ties keep vector order, so a group reads its targets as the caller
+	// listed them (the resumable repair answers any order exactly).
+	slices.SortFunc(o.ord, func(a, b int32) int { return cmp.Or(cmp.Compare(o.ids[a], o.ids[b]), cmp.Compare(a, b)) })
 	for _, i := range o.ord {
 		out[i] = int(o.planDist(queries[i].V, o.ids[i]))
 	}

@@ -22,11 +22,14 @@ import (
 //     its tree path.
 //
 // A target outside the affected subtree answers in O(1) from the cached
-// vector, no search at all. A target inside it reads the result of one
-// repair search (bfs.Repair) that seeds the subtree from the intact-distance
+// vector, no search at all. A target inside it reads one resumable repair
+// search (bfs.Repair) that seeds the subtree from the intact-distance
 // frontier crossing into it, with the failed edge or every arc of the failed
-// vertex banned, and relaxes only the subtree's own H-arcs —
-// O(Σ deg_H(subtree)) work instead of a full O(|E(H)|) restricted BFS over G.
+// vertex banned, relaxes only the subtree's own H-arcs, and stops once the
+// target settles: the cost is at most the arcs of the subtree vertices at
+// levels ≤ the answer, O(Σ deg_H(subtree)) for a disconnected target,
+// instead of a full O(|E(H)|) restricted BFS over G. Later targets of the
+// same failure resume the run.
 //
 // Because H's BFS-tree parents follow the same canonical min-index rule as
 // the reference search, every plan answer equals Oracle.DistAvoidingRef
@@ -152,10 +155,10 @@ func (p *QueryPlan) treeChild(u, v int) int32 {
 // O(1) path, falling back to r for the subtree repair. The caller owns r and
 // guarantees repaired is the failure r last ran for (-1 for none); dist
 // returns the failure the scratch holds afterwards, so consecutive queries
-// of one failure — the shape of a grouped batch — repair once and serve
-// every target from the same scratch. viaRepair reports whether the answer
-// came out of the repair scratch (telemetry counts plan hits vs repairs
-// without re-deriving the branch).
+// of one failure — the shape of a grouped batch — share one run, each
+// resuming it only as far as its own target needs. viaRepair reports
+// whether the answer came out of the repair scratch (telemetry counts plan
+// hits vs repairs without re-deriving the branch).
 func (p *QueryPlan) dist(v int, f int32, r *bfs.Repair, repaired int32) (d int32, _ int32, viaRepair bool) {
 	if p.vertex && int32(v) == f {
 		// The target itself left the graph.
@@ -168,13 +171,11 @@ func (p *QueryPlan) dist(v int, f int32, r *bfs.Repair, repaired int32) (d int32
 		return p.intact[v], repaired, false
 	}
 	if f != repaired {
-		sub, bannedEdge, bannedVertex := p.t.Subtree(c), graph.EdgeID(f), int32(-1)
+		banned := graph.EdgeID(f)
 		if p.vertex {
-			// Subtree(w) is w followed by its strict descendants in
-			// preorder; w itself leaves the graph.
-			sub, bannedEdge, bannedVertex = sub[1:], graph.NoEdge, f
+			banned = graph.NoEdge // the subtree root w itself failed
 		}
-		r.Run(p.h, p.intact, sub, bannedEdge, bannedVertex)
+		r.Run(p.h, p.intact, p.t.Preorder(), c, banned)
 		repaired = f
 	}
 	return r.Dist(int32(v)), repaired, true

@@ -2,6 +2,7 @@ package ftbfs_test
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -118,6 +119,98 @@ func TestDistAvoidingManyGroupedMatchesReference(t *testing.T) {
 			if got[i] != want {
 				t.Fatalf("round %d query %d (%+v): batched %d, reference %d", round, i, q, got[i], want)
 			}
+		}
+	}
+}
+
+// TestDistAvoidingManyResumesOneRepair serves every target of one failure
+// from a single resumable repair run, in the order that stresses resuming:
+// the deepest reachable target first, then ever shallower ones, then the
+// targets the failure disconnects. Every answer must equal the reference,
+// for edge failures here and vertex failures in the vertex corpus.
+func TestDistAvoidingManyResumesOneRepair(t *testing.T) {
+	for _, tc := range []struct{ n, extra int }{{50, 0}, {70, 40}, {70, 140}} {
+		g, edges := buildRandom(tc.n, tc.extra, int64(tc.extra))
+		st, err := ftbfs.Build(g, 0, 0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, o := st.Plan(), st.Oracle()
+		for _, e := range edges {
+			if !plan.IsTreeEdge(e[0], e[1]) || st.IsReinforced(e[0], e[1]) {
+				continue
+			}
+			c := e[1]
+			if st.Dist(e[0]) > st.Dist(e[1]) {
+				c = e[0]
+			}
+			queries, want := deepestFirst(t, g.N(), func(v int) bool { return v == c || plan.OnTreePath(c, v) },
+				func(v int) ftbfs.FailureQuery { return ftbfs.FailureQuery{V: v, FailedU: e[0], FailedV: e[1]} },
+				func(v int) (int, error) { return o.DistAvoidingRef(v, e[0], e[1]) })
+			checkMany(t, o, queries, want)
+		}
+	}
+	for name, tc := range vertexCorpus() {
+		st, err := ftbfs.BuildVertex(tc.g, tc.source)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		plan, o := st.Plan(), st.Oracle()
+		for w := 0; w < tc.g.N(); w++ {
+			if w == tc.source || plan.SubtreeSizeVertex(w) == 0 {
+				continue
+			}
+			queries, want := deepestFirst(t, tc.g.N(), func(v int) bool { return plan.OnTreePath(w, v) },
+				func(v int) ftbfs.FailureQuery { return ftbfs.FailureQuery{V: v, FailedU: w, Vertex: true} },
+				func(v int) (int, error) { return o.DistAvoidingVertexRef(v, w) })
+			checkMany(t, o, queries, want)
+		}
+	}
+}
+
+// deepestFirst returns one query per target v with below(v), with its
+// reference answer, ordered from the deepest answer down and disconnected
+// targets last.
+func deepestFirst(t *testing.T, n int, below func(int) bool, query func(int) ftbfs.FailureQuery, ref func(int) (int, error)) ([]ftbfs.FailureQuery, []int) {
+	t.Helper()
+	ans := make([]int, n)
+	var targets []int
+	for v := 0; v < n; v++ {
+		if !below(v) {
+			continue
+		}
+		d, err := ref(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ans[v] = d
+		targets = append(targets, v)
+	}
+	rank := func(v int) int {
+		if ans[v] == ftbfs.Unreachable {
+			return -1
+		}
+		return ans[v]
+	}
+	slices.SortStableFunc(targets, func(a, b int) int { return rank(b) - rank(a) })
+	queries, want := make([]ftbfs.FailureQuery, len(targets)), make([]int, len(targets))
+	for i, v := range targets {
+		queries[i], want[i] = query(v), ans[v]
+	}
+	return queries, want
+}
+
+// checkMany answers queries in one DistAvoidingMany call and compares each
+// answer with want.
+func checkMany(t *testing.T, o *ftbfs.Oracle, queries []ftbfs.FailureQuery, want []int) {
+	t.Helper()
+	got, err := o.DistAvoidingMany(queries, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range queries {
+		if got[i] != want[i] {
+			t.Fatalf("query %d of %d (%+v): batched %d, reference %d", i, len(queries), q, got[i], want[i])
 		}
 	}
 }
